@@ -5,12 +5,25 @@ use hlsb_bench::time_it;
 use hlsb_delay::HlsPredictedModel;
 use hlsb_fabric::{Device, WireModel};
 use hlsb_ir::unroll::unroll_loop;
+use hlsb_netlist::{Cell, Netlist};
 use hlsb_place::{place_with, AnnealConfig};
 use hlsb_rtlgen::{lower_design, RtlOptions, ScheduledDesign, ScheduledLoop};
 use hlsb_sched::schedule_loop;
-use hlsb_timing::{optimize_fanout, sta, FanoutOptions};
+use hlsb_timing::{optimize_fanout, refine_critical, sta, FanoutOptions, RefineOptions};
 
-fn lowered_stencil() -> hlsb_netlist::Netlist {
+/// One register driving `fanout` sinks: the shape of vector_product's
+/// 2088-sink broadcast, whose sinks all seed into one column.
+fn broadcast(fanout: usize) -> Netlist {
+    let mut nl = Netlist::new("broadcast");
+    let src = nl.add_cell(Cell::ff("src", 32));
+    let sinks: Vec<_> = (0..fanout)
+        .map(|i| nl.add_cell(Cell::comb(format!("s{i}"), 32, 0.4, 32)))
+        .collect();
+    nl.connect(src, &sinks);
+    nl
+}
+
+fn lowered_stencil() -> Netlist {
     let design = hlsb_benchmarks::stencil::design(2);
     let model = HlsPredictedModel::new();
     let loops: Vec<Vec<ScheduledLoop>> = design
@@ -59,8 +72,26 @@ fn main() {
         place_with(&netlist, &device, 7, fast)
     });
 
+    // Annealing cut to a single move, so the levelized seed (and the
+    // polish sweeps) are what is timed.
+    let seed_only = AnnealConfig {
+        moves_per_cell: 0,
+        min_moves: 1,
+        max_moves: 1,
+        batches: 1,
+        ..fast
+    };
+    let bcast = broadcast(2048);
+    time_it("seed_place_broadcast2048", 10, || {
+        place_with(&bcast, &device, 7, seed_only)
+    });
+
     let placement = place_with(&netlist, &device, 7, fast);
     time_it("sta_stencil2", 10, || sta(&netlist, &placement, &wire));
+    time_it("refine_stencil2", 10, || {
+        let mut p = placement.clone();
+        refine_critical(&netlist, &mut p, &wire, RefineOptions::default())
+    });
     time_it("fanout_opt_stencil2", 10, || {
         let mut nl = netlist.clone();
         let mut p = placement.clone();

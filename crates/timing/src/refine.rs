@@ -12,7 +12,7 @@
 //! physics is preserved because a net's many *sinks* stay where global
 //! placement put them.
 
-use crate::sta::{sta, TimingReport};
+use crate::sta::{StaGraph, TimingReport};
 use hlsb_fabric::WireModel;
 use hlsb_netlist::{CellId, CellKind, Netlist};
 use hlsb_place::sites::snap_column;
@@ -78,7 +78,9 @@ pub fn refine_critical(
     options: RefineOptions,
 ) -> (RefineReport, TimingReport) {
     let mut report = RefineReport::default();
-    let mut timing = sta(netlist, placement, wire);
+    // Only the placement changes below: build the timing graph once.
+    let graph = StaGraph::new(netlist, wire);
+    let mut timing = graph.run(placement);
     let grid_w = placement.grid_w as u16;
 
     // Phase 1: flatten the global tail of worst arcs. Critical-path
@@ -113,7 +115,7 @@ pub fn refine_critical(
                 placement.set_loc(cell, target);
                 let fo = fo_net.map(|n| netlist.net(n).fanout()).unwrap_or(1);
                 let new_delay = wire.net_delay_ns(placement.dist(a, b), fo);
-                let new_timing = sta(netlist, placement, wire);
+                let new_timing = graph.run(placement);
                 if new_delay + 1e-9 < old_delay && new_timing.period_ns <= timing.period_ns + 1e-9 {
                     timing = new_timing;
                     report.moves += 1;
@@ -168,7 +170,7 @@ pub fn refine_critical(
                 continue;
             }
             placement.set_loc(cell, target);
-            let new_timing = sta(netlist, placement, wire);
+            let new_timing = graph.run(placement);
             if new_timing.period_ns + 1e-9 < timing.period_ns {
                 timing = new_timing;
                 report.moves += 1;
@@ -187,6 +189,7 @@ pub fn refine_critical(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sta::sta;
     use hlsb_netlist::Cell;
 
     #[test]

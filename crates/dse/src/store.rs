@@ -12,14 +12,15 @@
 //! The durability machinery (append+flush per record, partial-line
 //! tolerance, later-duplicate-wins, heal-before-append) lives in
 //! [`hlsb_store::JsonlTable`]; this module only owns the [`Record`]
-//! format — hand-rolled JSON whose floats use Rust's shortest
-//! round-trip notation, so a record read back is bit-identical to the
-//! one written. Files written before the extraction parse unchanged.
+//! format — one JSON line through the workspace codec
+//! ([`hlsb_findings::json`]) with floats in Rust's shortest round-trip
+//! notation, so a record read back is bit-identical to the one written.
 
 use std::path::Path;
 
 use hlsb::{OptimizationOptions, Partitioning, PlaceEffort};
-use hlsb_store::json::{bool_field, json_escape, raw_field, string_field};
+use hlsb_findings::json::{self, JsonError};
+use hlsb_findings::json_escape;
 use hlsb_store::{JsonlRecord, JsonlTable};
 
 use crate::objective::Metrics;
@@ -90,46 +91,52 @@ impl JsonlRecord for Record {
     }
 
     fn from_json(line: &str) -> Option<Record> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
-        let effort = match raw_field(line, "effort")? {
-            "\"fast\"" => PlaceEffort::Fast,
-            "\"normal\"" => PlaceEffort::Normal,
-            _ => return None,
-        };
-        // Records written before island partitioning carry no
-        // `partitions` field; they were all flat.
-        let partitions = match raw_field(line, "partitions") {
-            None => Partitioning::Off,
-            Some("\"off\"") => Partitioning::Off,
-            Some("\"auto\"") => Partitioning::Auto,
-            Some(raw) => {
-                Partitioning::Fixed(raw.strip_prefix('"')?.strip_suffix('"')?.parse().ok()?)
-            }
-        };
-        Some(Record {
-            key: raw_field(line, "key")?.parse().ok()?,
-            design: string_field(line, "design")?,
-            config: DseConfig {
-                options: OptimizationOptions {
-                    broadcast_aware: bool_field(line, "broadcast_aware")?,
-                    sync_pruning: bool_field(line, "sync_pruning")?,
-                    skid_buffer: bool_field(line, "skid_buffer")?,
-                    min_area_skid: bool_field(line, "min_area_skid")?,
+        json::decode(line, |o| {
+            // The label is derived from the configuration; it is written
+            // for readers of the file and not read back.
+            o.take("label");
+            let effort = match o.req::<String>("effort")?.as_str() {
+                "fast" => PlaceEffort::Fast,
+                "normal" => PlaceEffort::Normal,
+                _ => {
+                    return Err(JsonError::Mistyped(
+                        "effort".to_string(),
+                        "`fast` or `normal`",
+                    ))
+                }
+            };
+            // Records written before island partitioning carry no
+            // `partitions` field; they were all flat.
+            let partitions = match o.opt::<String>("partitions")?.as_deref() {
+                None | Some("off") => Partitioning::Off,
+                Some("auto") => Partitioning::Auto,
+                Some(k) => Partitioning::Fixed(k.parse().map_err(|_| {
+                    JsonError::Mistyped("partitions".to_string(), "`off`, `auto` or a count")
+                })?),
+            };
+            Ok(Record {
+                key: o.req("key")?,
+                design: o.req("design")?,
+                config: DseConfig {
+                    options: OptimizationOptions {
+                        broadcast_aware: o.req("broadcast_aware")?,
+                        sync_pruning: o.req("sync_pruning")?,
+                        skid_buffer: o.req("skid_buffer")?,
+                        min_area_skid: o.req("min_area_skid")?,
+                    },
+                    clock_mhz: o.req("clock_mhz")?,
+                    place_seeds: o.req("place_seeds")?,
+                    effort,
+                    partitions,
                 },
-                clock_mhz: raw_field(line, "clock_mhz")?.parse().ok()?,
-                place_seeds: raw_field(line, "place_seeds")?.parse().ok()?,
-                effort,
-                partitions,
-            },
-            metrics: Metrics {
-                fmax_mhz: raw_field(line, "fmax_mhz")?.parse().ok()?,
-                latency_cycles: raw_field(line, "latency_cycles")?.parse().ok()?,
-                area_cells: raw_field(line, "area_cells")?.parse().ok()?,
-            },
+                metrics: Metrics {
+                    fmax_mhz: o.req("fmax_mhz")?,
+                    latency_cycles: o.req("latency_cycles")?,
+                    area_cells: o.req("area_cells")?,
+                },
+            })
         })
+        .ok()
     }
 }
 

@@ -3,9 +3,9 @@
 //! The durability machinery (append+flush per record, partial-line
 //! tolerance, later-duplicate-wins, heal-before-append) lives in
 //! [`hlsb_store::JsonlTable`]; this module only owns the
-//! [`TrialRecord`] format — hand-rolled JSON (the workspace builds
-//! offline, no serde) with floats in Rust's shortest round-trip
-//! notation, so files written before the extraction parse unchanged.
+//! [`TrialRecord`] format — one JSON line through the workspace codec
+//! ([`hlsb_findings::json`]) with floats in Rust's shortest round-trip
+//! notation, so a record read back is bit-identical to the one written.
 //! The key is [`Flow::config_key`](hlsb::Flow::config_key) of the
 //! trial's flow — the clock target is part of the key, so one search
 //! produces one record per trial and a resumed search answers every
@@ -13,7 +13,8 @@
 
 use std::path::Path;
 
-use hlsb_store::json::{json_escape, raw_field, string_field};
+use hlsb_findings::json::{self, JsonError};
+use hlsb_findings::json_escape;
 use hlsb_store::{JsonlRecord, JsonlTable};
 
 /// How a trial's verdict was decided.
@@ -98,30 +99,25 @@ impl JsonlRecord for TrialRecord {
     }
 
     fn from_json(line: &str) -> Option<TrialRecord> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
-        let kind = match raw_field(line, "kind")? {
-            "\"full\"" => TrialKind::Full,
-            "\"probe\"" => TrialKind::Probe,
-            _ => return None,
-        };
-        Some(TrialRecord {
-            key: raw_field(line, "key")?.parse().ok()?,
-            design: string_field(line, "design")?,
-            label: string_field(line, "label")?,
-            clock_mhz: raw_field(line, "clock_mhz")?.parse().ok()?,
-            kind,
-            met: match raw_field(line, "met")? {
-                "true" => true,
-                "false" => false,
-                _ => return None,
-            },
-            fmax_mhz: raw_field(line, "fmax_mhz")?.parse().ok()?,
-            latency_cycles: raw_field(line, "latency_cycles")?.parse().ok()?,
-            wall_ms: raw_field(line, "wall_ms")?.parse().ok()?,
+        json::decode(line, |o| {
+            let kind = match o.req::<String>("kind")?.as_str() {
+                "full" => TrialKind::Full,
+                "probe" => TrialKind::Probe,
+                _ => return Err(JsonError::Mistyped("kind".to_string(), "`full` or `probe`")),
+            };
+            Ok(TrialRecord {
+                key: o.req("key")?,
+                design: o.req("design")?,
+                label: o.req("label")?,
+                clock_mhz: o.req("clock_mhz")?,
+                kind,
+                met: o.req("met")?,
+                fmax_mhz: o.req("fmax_mhz")?,
+                latency_cycles: o.req("latency_cycles")?,
+                wall_ms: o.req("wall_ms")?,
+            })
         })
+        .ok()
     }
 }
 

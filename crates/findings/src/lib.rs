@@ -11,9 +11,12 @@
 //! A [`Report`] is self-describing: it carries the producing tool's name
 //! and its full rule registry ([`RuleMeta`]), so [`render_sarif`] can
 //! declare every rule in the run metadata even when only some fired.
+//! The crate also owns the workspace's one JSON codec, [`json`].
 
 pub mod diag;
+pub mod json;
 pub mod render;
 
 pub use diag::{Diagnostic, Location, Report, RuleMeta, Severity};
-pub use render::{json_escape, render_jsonl, render_sarif, render_table};
+pub use json::json_escape;
+pub use render::{render_jsonl, render_sarif, render_table};

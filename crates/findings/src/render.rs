@@ -1,30 +1,12 @@
 //! Report renderers: human-readable table, JSON Lines and SARIF 2.1.0.
 //!
 //! JSON is emitted by hand — the workspace builds offline with no
-//! external dependencies, so there is no serde here. Escaping follows
-//! RFC 8259 (quote, backslash and control characters).
+//! external dependencies, so there is no serde here. Strings are escaped
+//! by the workspace codec's [`json_escape`].
 
 use crate::diag::{Diagnostic, Report};
+use crate::json::json_escape;
 use std::fmt::Write as _;
-
-/// Escapes `s` for inclusion inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats a float for JSON: finite, plain decimal notation.
 fn json_num(x: f64) -> String {
@@ -272,13 +254,6 @@ mod tests {
                 remedy: "use \\ broadcast_aware",
             }],
         }
-    }
-
-    #[test]
-    fn escaping_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
     }
 
     #[test]

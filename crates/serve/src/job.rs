@@ -16,11 +16,15 @@
 //!
 //! Every knob that participates in [`Flow::config_key`] is settable, so
 //! two jobs are duplicates exactly when their resolved flows share a
-//! config key. The JSON is hand-rolled ([`hlsb_store::json`]) like every
-//! other persistent format in the workspace.
+//! config key. Job lines come from outside the program, so they are read
+//! strictly through the workspace codec ([`hlsb_findings::json`]): any
+//! valid JSON object is accepted (whitespace, `\uXXXX` escapes and
+//! surrogate pairs included), and an unknown, repeated or mistyped field
+//! fails the job with an error naming that field.
 
 use hlsb::{Flow, OptimizationOptions, Partitioning, PlaceEffort, RegisterInjection};
-use hlsb_store::json::{json_escape, raw_field, string_field};
+use hlsb_findings::json;
+use hlsb_findings::json_escape;
 
 /// One requested compile, as parsed from a JSONL job line.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,60 +174,46 @@ impl JobSpec {
     }
 
     /// Parses one job line. Only `design` is required; every other field
-    /// falls back to [`JobSpec::default`]. The error string names the
-    /// offending field (deterministically, for stable outcome streams).
+    /// falls back to [`JobSpec::default`], and `clock_mhz` may be `null`.
+    /// The error string names the offending field (deterministically, for
+    /// stable outcome streams).
     pub fn from_json(line: &str) -> Result<JobSpec, String> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return Err("job line is not a JSON object".to_string());
-        }
+        let mut o = json::parse_object(line).map_err(|e| format!("invalid JSON job line: {e}"))?;
         let mut job = JobSpec {
-            design: string_field(line, "design")
+            design: o
+                .opt::<String>("design")?
                 .filter(|d| !d.is_empty())
                 .ok_or("job is missing the required `design` field")?,
             ..JobSpec::default()
         };
-        if let Some(id) = string_field(line, "id") {
-            job.id = id;
-        }
-        match raw_field(line, "clock_mhz") {
-            None | Some("null") => {}
-            Some(raw) => {
-                let mhz: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("bad `clock_mhz` value {raw}"))?;
-                if !(mhz.is_finite() && mhz > 0.0) {
-                    return Err(format!("bad `clock_mhz` value {raw}"));
-                }
-                job.clock_mhz = Some(mhz);
+        job.id = o.opt("id")?.unwrap_or_default();
+        if let Some(mhz) = o.opt::<f64>("clock_mhz")? {
+            if !(mhz.is_finite() && mhz > 0.0) {
+                return Err(format!("bad `clock_mhz` value {mhz:?}"));
             }
+            job.clock_mhz = Some(mhz);
         }
-        if let Some(mask) = string_field(line, "options") {
+        if let Some(mask) = o.opt::<String>("options")? {
             job.options =
                 parse_options(&mask).ok_or_else(|| format!("bad `options` mask `{mask}`"))?;
         }
-        if let Some(raw) = raw_field(line, "seed") {
-            job.seed = raw.parse().map_err(|_| format!("bad `seed` value {raw}"))?;
-        }
-        if let Some(raw) = raw_field(line, "place_seeds") {
-            job.place_seeds = raw
-                .parse()
-                .map_err(|_| format!("bad `place_seeds` value {raw}"))?;
-        }
-        if let Some(s) = string_field(line, "effort") {
+        job.seed = o.opt("seed")?.unwrap_or(job.seed);
+        job.place_seeds = o.opt("place_seeds")?.unwrap_or(job.place_seeds);
+        if let Some(s) = o.opt::<String>("effort")? {
             job.effort = match s.as_str() {
                 "fast" => PlaceEffort::Fast,
                 "normal" => PlaceEffort::Normal,
                 other => return Err(format!("bad `effort` value `{other}`")),
             };
         }
-        if let Some(s) = string_field(line, "partitions") {
+        if let Some(s) = o.opt::<String>("partitions")? {
             job.partitions =
                 parse_partitions(&s).ok_or_else(|| format!("bad `partitions` value `{s}`"))?;
         }
-        if let Some(s) = string_field(line, "inject") {
+        if let Some(s) = o.opt::<String>("inject")? {
             job.inject = parse_inject(&s).ok_or_else(|| format!("bad `inject` value `{s}`"))?;
         }
+        o.finish()?;
         Ok(job)
     }
 
@@ -340,6 +330,47 @@ mod tests {
         ] {
             let err = JobSpec::from_json(line).unwrap_err();
             assert!(err.contains(field), "{line} -> {err}");
+        }
+    }
+
+    #[test]
+    fn job_lines_decode_exactly() {
+        let job = |line: &str| JobSpec::from_json(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(job(r#"{"id":"a,b","design":"genome"}"#).id, "a,b");
+        assert_eq!(job(r#"{"id":"x\ny","design":"genome"}"#).id, "x\ny");
+        assert_eq!(
+            job(r#"{"design":"genome","clock_mhz":250 }"#).clock_mhz,
+            Some(250.0)
+        );
+        let spaced = job("\t{ \"design\" :\n\"genome\" , \"seed\" : 3 }\r ");
+        assert_eq!((spaced.design.as_str(), spaced.seed), ("genome", 3));
+        // Python's `json.dumps` escapes every non-ASCII character, astral
+        // ones as UTF-16 surrogate pairs.
+        let escaped = job(r#"{"id":"\u00d7\ud83d\ude00\"q\"","design":"genome"}"#);
+        assert_eq!(escaped.id, "×😀\"q\"");
+        assert_eq!(job(&escaped.to_json()), escaped);
+    }
+
+    #[test]
+    fn job_lines_reject_unknown_duplicate_and_malformed_fields() {
+        for (line, needle) in [
+            (
+                r#"{"design":"genome","seed":3,"seed":4}"#,
+                "duplicate field `seed`",
+            ),
+            (r#"{"design":"genome","sed":3}"#, "unknown field `sed`"),
+            (r#"{"design":"genome","seed":3.0}"#, "field `seed`"),
+            (
+                r#"{"design":"genome","place_seeds":4294967296}"#,
+                "field `place_seeds`",
+            ),
+            (r#"{"design":7}"#, "field `design`"),
+            (r#"{"id":"\ud83d","design":"genome"}"#, "surrogate"),
+            (r#"{"design":"genome"} {"#, "JSON"),
+            (r#"["design"]"#, "expected an object"),
+        ] {
+            let err = JobSpec::from_json(line).expect_err(line);
+            assert!(err.contains(needle), "{line} -> {err}");
         }
     }
 

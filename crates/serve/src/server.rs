@@ -29,8 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use hlsb::{FlowError, FlowSession};
-use hlsb_findings::Severity;
-use hlsb_store::json::json_escape;
+use hlsb_findings::{json_escape, Severity};
 use hlsb_store::{ArtifactStore, ResultRecord};
 use hlsb_telemetry::{RunLedger, RunRecord};
 use hlsb_trace::{MetricsRegistry, TraceTree, Tracer};

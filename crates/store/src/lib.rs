@@ -1,11 +1,8 @@
 //! `hlsb-store` — the persistent content-addressed store behind the
 //! compile-farm subsystem.
 //!
-//! Three layers, each usable on its own:
+//! Two layers, each usable on its own:
 //!
-//! * [`json`] — the hand-rolled flat-JSON field helpers every JSONL
-//!   codec in the workspace shares (the build is offline; there is no
-//!   serde).
 //! * [`JsonlTable`] — a generic keyed table over an append-only JSONL
 //!   file with the workspace's durability rules: append+flush per
 //!   record, partial-trailing-line tolerance, later-duplicate-wins, and
@@ -20,9 +17,11 @@
 //!   session cache uses to consult and feed a store without knowing
 //!   anything about files.
 //!
+//! Every record codec writes with [`hlsb_findings::json_escape`] and reads
+//! through the strict reader in [`hlsb_findings::json`].
+//!
 //! Design rationale, layout and locking rules: `DESIGN.md` §3g.
 
-pub mod json;
 pub mod table;
 
 mod artifact;

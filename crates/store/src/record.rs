@@ -16,7 +16,9 @@
 //!   mismatch means two processes disagreed on a supposedly pure build)
 //!   at none of the serialization cost.
 
-use crate::json::{json_escape, raw_field, string_field};
+use hlsb_findings::json::{self, JsonError};
+use hlsb_findings::json_escape;
+
 use crate::table::JsonlRecord;
 
 /// The pipeline stage a [`StageRecord`] fingerprints.
@@ -61,8 +63,8 @@ pub fn stage_table_key(stage: StageKind, key: u64) -> u64 {
 }
 
 /// One persisted full-flow evaluation: everything a warm serve needs to
-/// answer the job without touching the pipeline. Scalar-only by design —
-/// [`raw_field`](crate::json::raw_field) parsing keeps records flat.
+/// answer the job without touching the pipeline. The line carries only
+/// scalars; strings may hold any character.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultRecord {
     /// `Flow::config_key` of the evaluated flow (covers design, device
@@ -127,26 +129,25 @@ impl JsonlRecord for ResultRecord {
     }
 
     fn from_json(line: &str) -> Option<ResultRecord> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
-        Some(ResultRecord {
-            key: raw_field(line, "key")?.parse().ok()?,
-            design: string_field(line, "design")?,
-            label: string_field(line, "label")?,
-            fmax_mhz: raw_field(line, "fmax_mhz")?.parse().ok()?,
-            period_ns: raw_field(line, "period_ns")?.parse().ok()?,
-            latency_cycles: raw_field(line, "latency_cycles")?.parse().ok()?,
-            luts: raw_field(line, "luts")?.parse().ok()?,
-            ffs: raw_field(line, "ffs")?.parse().ok()?,
-            brams: raw_field(line, "brams")?.parse().ok()?,
-            dsps: raw_field(line, "dsps")?.parse().ok()?,
-            inserted_regs: raw_field(line, "inserted_regs")?.parse().ok()?,
-            duplicated_regs: raw_field(line, "duplicated_regs")?.parse().ok()?,
-            retime_moves: raw_field(line, "retime_moves")?.parse().ok()?,
-            wall_ms: raw_field(line, "wall_ms")?.parse().ok()?,
+        json::decode(line, |o| {
+            Ok(ResultRecord {
+                key: o.req("key")?,
+                design: o.req("design")?,
+                label: o.req("label")?,
+                fmax_mhz: o.req("fmax_mhz")?,
+                period_ns: o.req("period_ns")?,
+                latency_cycles: o.req("latency_cycles")?,
+                luts: o.req("luts")?,
+                ffs: o.req("ffs")?,
+                brams: o.req("brams")?,
+                dsps: o.req("dsps")?,
+                inserted_regs: o.req("inserted_regs")?,
+                duplicated_regs: o.req("duplicated_regs")?,
+                retime_moves: o.req("retime_moves")?,
+                wall_ms: o.req("wall_ms")?,
+            })
         })
+        .ok()
     }
 }
 
@@ -180,17 +181,19 @@ impl JsonlRecord for StageRecord {
     }
 
     fn from_json(line: &str) -> Option<StageRecord> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
-        let stage = StageKind::from_name(&string_field(line, "stage")?)?;
-        Some(StageRecord {
-            stage,
-            key: raw_field(line, "key")?.parse().ok()?,
-            fingerprint: raw_field(line, "fingerprint")?.parse().ok()?,
-            wall_ms: raw_field(line, "wall_ms")?.parse().ok()?,
+        json::decode(line, |o| {
+            let stage = StageKind::from_name(&o.req::<String>("stage")?);
+            Ok(StageRecord {
+                stage: stage.ok_or(JsonError::Mistyped(
+                    "stage".to_string(),
+                    "`front_end` or `schedule`",
+                ))?,
+                key: o.req("key")?,
+                fingerprint: o.req("fingerprint")?,
+                wall_ms: o.req("wall_ms")?,
+            })
         })
+        .ok()
     }
 }
 
@@ -225,6 +228,18 @@ mod tests {
         assert_eq!(back, rec, "round trip must be bit-exact:\n{line}");
         assert!(ResultRecord::from_json("{\"key\":1").is_none());
         assert!(ResultRecord::from_json("").is_none());
+    }
+
+    #[test]
+    fn labels_with_commas_and_newlines_reload_unchanged() {
+        for label in ["BSKM, fast", "line\nbreak", "tab\t\"q\" \\ ,\"key\":1"] {
+            let rec = ResultRecord {
+                label: label.to_string(),
+                ..result_record(7, 300.0)
+            };
+            let line = rec.to_json();
+            assert_eq!(ResultRecord::from_json(&line), Some(rec), "{line}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   the new record never glues onto the partial line and both stay
 //!   individually parseable-or-skippable.
 //!
-//! Each record is one flat JSON line written by the record type itself
+//! Each record is one JSON line written by the record type itself
 //! ([`JsonlRecord::to_json`]); the table never interprets the line beyond
 //! handing it back to [`JsonlRecord::from_json`].
 
@@ -26,7 +26,7 @@ use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// A record that can live in a [`JsonlTable`]: keyed, and codable as one
-/// flat JSON line.
+/// JSON line.
 pub trait JsonlRecord: Clone {
     /// The dedup key. Two records with equal keys describe the same
     /// entity; the later one wins.
@@ -37,8 +37,9 @@ pub trait JsonlRecord: Clone {
     fn to_json(&self) -> String;
 
     /// Parses one line written by [`to_json`](JsonlRecord::to_json).
-    /// Returns `None` for malformed input (e.g. a half-written trailing
-    /// line after a kill) — the table skips such lines on load.
+    /// Returns `None` for anything else (e.g. a half-written trailing
+    /// line after a kill, or a line with a field this version does not
+    /// know) — the table skips such lines on load.
     fn from_json(line: &str) -> Option<Self>
     where
         Self: Sized;
@@ -229,14 +230,13 @@ mod tests {
         }
 
         fn from_json(line: &str) -> Option<Pair> {
-            let line = line.trim();
-            if !(line.starts_with('{') && line.ends_with('}')) {
-                return None;
-            }
-            Some(Pair {
-                key: crate::json::raw_field(line, "key")?.parse().ok()?,
-                value: crate::json::raw_field(line, "value")?.parse().ok()?,
+            hlsb_findings::json::decode(line, |o| {
+                Ok(Pair {
+                    key: o.req("key")?,
+                    value: o.req("value")?,
+                })
             })
+            .ok()
         }
     }
 

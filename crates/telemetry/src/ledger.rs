@@ -20,7 +20,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use hlsb_store::json::{json_escape, raw_field, string_field};
+use hlsb_findings::json::{self, JsonError};
+use hlsb_findings::json_escape;
 use hlsb_store::{JsonlRecord, JsonlTable, StoreLock};
 
 /// One top-level run: a flow evaluation, a serve wave, a DSE campaign or
@@ -69,9 +70,9 @@ impl RunRecord {
     }
 
     /// Adds `ms` to the named stage (appending it if new). Stage and
-    /// counter names must not contain `,`, `;`, `=` or `"` — true of
-    /// every pass and metric name in this workspace — because records
-    /// encode the maps as `name=value;...` inside one flat JSON string.
+    /// counter names must not contain `;` — true of every pass and
+    /// metric name in this workspace — because records encode the maps
+    /// as `name=value;...` inside one JSON string.
     pub fn add_stage(&mut self, name: &str, ms: f64) {
         match self.stages.iter_mut().find(|(n, _)| n == name) {
             Some((_, v)) => *v += ms,
@@ -122,48 +123,28 @@ impl RunRecord {
         }
         hash
     }
-
-    fn encode_stages(&self) -> String {
-        self.stages
-            .iter()
-            .map(|(n, v)| format!("{n}={v:?}"))
-            .collect::<Vec<_>>()
-            .join(";")
-    }
-
-    fn encode_counters(&self) -> String {
-        let mut sorted: Vec<&(String, u64)> = self.counters.iter().collect();
-        sorted.sort();
-        sorted
-            .iter()
-            .map(|(n, v)| format!("{n}={v}"))
-            .collect::<Vec<_>>()
-            .join(";")
-    }
 }
 
-fn decode_stages(s: &str) -> Option<Vec<(String, f64)>> {
+/// Encodes a map as `name=value;...` (values in `{:?}`), escaped for a
+/// JSON string.
+fn encode_map<'a, V: std::fmt::Debug + 'a>(pairs: impl Iterator<Item = &'a (String, V)>) -> String {
+    let pairs: Vec<String> = pairs.map(|(n, v)| format!("{n}={v:?}")).collect();
+    json_escape(&pairs.join(";"))
+}
+
+/// Decodes a `name=value;...` map; values never contain `=`, so a name
+/// may.
+fn decode_map<V: std::str::FromStr>(s: &str, field: &str) -> Result<Vec<(String, V)>, JsonError> {
     if s.is_empty() {
-        return Some(Vec::new());
+        return Ok(Vec::new());
     }
     s.split(';')
         .map(|tok| {
-            let (n, v) = tok.split_once('=')?;
+            let (n, v) = tok.rsplit_once('=')?;
             Some((n.to_string(), v.parse().ok()?))
         })
-        .collect()
-}
-
-fn decode_counters(s: &str) -> Option<Vec<(String, u64)>> {
-    if s.is_empty() {
-        return Some(Vec::new());
-    }
-    s.split(';')
-        .map(|tok| {
-            let (n, v) = tok.split_once('=')?;
-            Some((n.to_string(), v.parse().ok()?))
-        })
-        .collect()
+        .collect::<Option<_>>()
+        .ok_or_else(|| JsonError::Mistyped(field.to_string(), "a `name=value;...` map"))
 }
 
 impl JsonlRecord for RunRecord {
@@ -172,6 +153,8 @@ impl JsonlRecord for RunRecord {
     }
 
     fn to_json(&self) -> String {
+        let mut counters: Vec<&(String, u64)> = self.counters.iter().collect();
+        counters.sort();
         format!(
             "{{\"key\":{},\"tool\":\"{}\",\"design\":\"{}\",\"config_key\":{},\
              \"status\":\"{}\",\"wall_ms\":{:?},\"stages\":\"{}\",\
@@ -182,28 +165,27 @@ impl JsonlRecord for RunRecord {
             self.config_key,
             json_escape(&self.status),
             self.wall_ms,
-            self.encode_stages(),
-            self.encode_counters(),
+            encode_map(self.stages.iter()),
+            encode_map(counters.into_iter()),
             self.digest,
         )
     }
 
     fn from_json(line: &str) -> Option<RunRecord> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
-        Some(RunRecord {
-            key: raw_field(line, "key")?.parse().ok()?,
-            tool: string_field(line, "tool")?,
-            design: string_field(line, "design")?,
-            config_key: raw_field(line, "config_key")?.parse().ok()?,
-            status: string_field(line, "status")?,
-            wall_ms: raw_field(line, "wall_ms")?.parse().ok()?,
-            stages: decode_stages(&string_field(line, "stages")?)?,
-            counters: decode_counters(&string_field(line, "counters")?)?,
-            digest: raw_field(line, "digest")?.parse().ok()?,
+        json::decode(line, |o| {
+            Ok(RunRecord {
+                key: o.req("key")?,
+                tool: o.req("tool")?,
+                design: o.req("design")?,
+                config_key: o.req("config_key")?,
+                status: o.req("status")?,
+                wall_ms: o.req("wall_ms")?,
+                stages: decode_map(&o.req::<String>("stages")?, "stages")?,
+                counters: decode_map(&o.req::<String>("counters")?, "counters")?,
+                digest: o.req("digest")?,
+            })
         })
+        .ok()
     }
 }
 

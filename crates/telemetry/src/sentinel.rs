@@ -17,7 +17,8 @@
 //! --write-baseline`). `design` may be `*` to match every design of the
 //! rule's tool.
 
-use hlsb_store::json::{json_escape, raw_field, string_field};
+use hlsb_findings::json::{self, JsonError};
+use hlsb_findings::json_escape;
 
 use crate::ledger::RunRecord;
 
@@ -77,33 +78,27 @@ impl Baseline {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let bad = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
-            if !(line.starts_with('{') && line.ends_with('}')) {
-                return Err(bad("expected a JSON object"));
-            }
-            match string_field(line, "kind").as_deref() {
-                Some("stage") => baseline.stages.push(StageRule {
-                    tool: string_field(line, "tool").ok_or_else(|| bad("missing tool"))?,
-                    design: string_field(line, "design").ok_or_else(|| bad("missing design"))?,
-                    stage: string_field(line, "stage").ok_or_else(|| bad("missing stage"))?,
-                    median_ms: raw_field(line, "median_ms")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing median_ms"))?,
-                    max_ratio: raw_field(line, "max_ratio")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing max_ratio"))?,
-                }),
-                Some("rate") => baseline.rates.push(RateRule {
-                    tool: string_field(line, "tool").ok_or_else(|| bad("missing tool"))?,
-                    design: string_field(line, "design").ok_or_else(|| bad("missing design"))?,
-                    hits: string_field(line, "hits").ok_or_else(|| bad("missing hits"))?,
-                    total: string_field(line, "total").ok_or_else(|| bad("missing total"))?,
-                    min_rate: raw_field(line, "min_rate")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing min_rate"))?,
-                }),
-                _ => return Err(bad("unknown or missing kind")),
-            }
+            json::decode(line, |o| {
+                match o.req::<String>("kind")?.as_str() {
+                    "stage" => baseline.stages.push(StageRule {
+                        tool: o.req("tool")?,
+                        design: o.req("design")?,
+                        stage: o.req("stage")?,
+                        median_ms: o.req("median_ms")?,
+                        max_ratio: o.req("max_ratio")?,
+                    }),
+                    "rate" => baseline.rates.push(RateRule {
+                        tool: o.req("tool")?,
+                        design: o.req("design")?,
+                        hits: o.req("hits")?,
+                        total: o.req("total")?,
+                        min_rate: o.req("min_rate")?,
+                    }),
+                    _ => return Err(JsonError::Mistyped("kind".to_string(), "`stage` or `rate`")),
+                }
+                Ok(())
+            })
+            .map_err(|e| format!("line {}: {e}: {line}", lineno + 1))?;
         }
         Ok(baseline)
     }

@@ -29,12 +29,13 @@
 //! metrics in the Prometheus text format.
 //!
 //! Exit status is 2 on usage errors, 1 if any frontier configuration
-//! fails its differential-simulation check, 0 otherwise.
+//! fails its differential-simulation check, 0 otherwise; `--help` prints
+//! the usage and exits 0.
 
 use hlsb::{FlowSession, Partitioning, PlaceEffort};
-use hlsb_bench::parse_partitions;
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
 use hlsb_dse::{report, Explorer, KnobSpace, ResultStore, Strategy, DEFAULT_VERIFY_ITERS};
+use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_telemetry::{render_prometheus, RunLedger, RunRecord};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -65,30 +66,16 @@ enum Format {
     Jsonl,
 }
 
-fn usage() {
-    eprintln!(
-        "usage: dse [--design <name>|all] [--strategy grid|random|halving]\n\
-         \x20          [--clocks <mhz>[,<mhz>...]] [--budget <n>] [--seed <n>]\n\
-         \x20          [--seeds <n>[,<n>...]] [--efforts fast|normal|both]\n\
-         \x20          [--partitions <n>|auto|off[,...]] [--store <path>]\n\
-         \x20          [--artifacts <dir>]\n\
-         \x20          [--format table|jsonl]\n\
-         \x20          [--verify-iters <n>] [--trace-out <path>]\n\
-         \x20          [--ledger <path>] [--metrics-out <path>] [--list]"
-    );
-}
+const USAGE: &str = "usage: dse [--design <name>|all] [--strategy grid|random|halving]\n\
+                     \x20          [--clocks <mhz>[,<mhz>...]] [--budget <n>] [--seed <n>]\n\
+                     \x20          [--seeds <n>[,<n>...]] [--efforts fast|normal|both]\n\
+                     \x20          [--partitions <n>|auto|off[,...]] [--store <path>]\n\
+                     \x20          [--artifacts <dir>]\n\
+                     \x20          [--format table|jsonl]\n\
+                     \x20          [--verify-iters <n>] [--trace-out <path>]\n\
+                     \x20          [--ledger <path>] [--metrics-out <path>] [--list]";
 
-fn parse_list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>, String> {
-    s.split(',')
-        .map(|tok| {
-            tok.trim()
-                .parse()
-                .map_err(|_| format!("bad {what} `{tok}`"))
-        })
-        .collect()
-}
-
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     let mut args = Args {
         design: "all".into(),
         strategy: Strategy::Grid,
@@ -107,82 +94,46 @@ fn parse_args() -> Result<Args, String> {
         metrics_out: None,
         list: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--design" => args.design = it.next().ok_or("--design needs a value")?,
-            "--strategy" => {
-                let s = it.next().ok_or("--strategy needs a value")?;
-                args.strategy = Strategy::from_name(&s).ok_or(format!("unknown strategy `{s}`"))?;
-            }
-            "--clocks" => {
-                let c = it.next().ok_or("--clocks needs a value")?;
-                let clocks: Vec<f64> = parse_list(&c, "clock")?;
-                if clocks.iter().any(|m| !(m.is_finite() && *m > 0.0)) {
-                    return Err(format!("bad clocks `{c}`"));
-                }
+    while let Some(arg) = cli.next_arg()? {
+        match arg {
+            Arg::Flag("--design") => args.design = cli.value()?,
+            Arg::Flag("--strategy") => args.strategy = cli.parse_with(Strategy::from_name)?,
+            Arg::Flag("--clocks") => {
+                let clocks: Vec<f64> = cli.list()?;
+                cli.ensure(clocks.iter().all(|m| m.is_finite() && *m > 0.0))?;
                 args.clocks_mhz = Some(clocks);
             }
-            "--budget" => {
-                let b = it.next().ok_or("--budget needs a value")?;
-                args.budget = b.parse().map_err(|_| format!("bad budget `{b}`"))?;
-                if args.budget == 0 {
-                    return Err("budget must be at least 1".into());
-                }
+            Arg::Flag("--budget") => {
+                args.budget = cli.parse()?;
+                cli.ensure(args.budget >= 1)?;
             }
-            "--seed" => {
-                let s = it.next().ok_or("--seed needs a value")?;
-                args.seed = s.parse().map_err(|_| format!("bad seed `{s}`"))?;
+            Arg::Flag("--seed") => args.seed = cli.parse()?,
+            Arg::Flag("--seeds") => {
+                args.place_seeds = cli.list()?;
+                cli.ensure(!args.place_seeds.contains(&0))?;
             }
-            "--seeds" => {
-                let s = it.next().ok_or("--seeds needs a value")?;
-                args.place_seeds = parse_list(&s, "seed count")?;
-                if args.place_seeds.is_empty() || args.place_seeds.contains(&0) {
-                    return Err(format!("bad seed counts `{s}`"));
-                }
+            Arg::Flag("--efforts") => {
+                args.efforts = cli.parse_with(|e| match e {
+                    "both" => Some(vec![PlaceEffort::Fast, PlaceEffort::Normal]),
+                    e => e.parse().ok().map(|e| vec![e]),
+                })?;
             }
-            "--efforts" => {
-                args.efforts = match it.next().ok_or("--efforts needs a value")?.as_str() {
-                    "fast" => vec![PlaceEffort::Fast],
-                    "normal" => vec![PlaceEffort::Normal],
-                    "both" => vec![PlaceEffort::Fast, PlaceEffort::Normal],
-                    e => return Err(format!("unknown efforts `{e}`")),
-                };
+            Arg::Flag("--partitions") => args.partitions = cli.list()?,
+            Arg::Flag("--store") => args.store = Some(cli.value()?),
+            Arg::Flag("--artifacts") => args.artifacts = Some(cli.value()?),
+            Arg::Flag("--format") => {
+                args.format = cli.parse_with(|f| match f {
+                    "table" => Some(Format::Table),
+                    "jsonl" => Some(Format::Jsonl),
+                    _ => None,
+                })?;
             }
-            "--partitions" => {
-                let p = it.next().ok_or("--partitions needs <n>|auto|off[,...]")?;
-                args.partitions = p
-                    .split(',')
-                    .map(|tok| {
-                        parse_partitions(tok.trim())
-                            .ok_or(format!("bad partitions value `{tok}` (want <n>|auto|off)"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if args.partitions.is_empty() {
-                    return Err(format!("bad partitions `{p}`"));
-                }
-            }
-            "--store" => args.store = Some(it.next().ok_or("--store needs a value")?),
-            "--artifacts" => args.artifacts = Some(it.next().ok_or("--artifacts needs a value")?),
-            "--format" => {
-                args.format = match it.next().ok_or("--format needs a value")?.as_str() {
-                    "table" => Format::Table,
-                    "jsonl" => Format::Jsonl,
-                    f => return Err(format!("unknown format `{f}`")),
-                };
-            }
-            "--verify-iters" => {
-                let v = it.next().ok_or("--verify-iters needs a value")?;
-                args.verify_iters = v.parse().map_err(|_| format!("bad verify-iters `{v}`"))?;
-            }
-            "--trace-out" => args.trace_out = Some(it.next().ok_or("--trace-out needs a path")?),
-            "--ledger" => args.ledger = Some(it.next().ok_or("--ledger needs a path")?),
-            "--metrics-out" => {
-                args.metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?);
-            }
-            "--list" => args.list = true,
-            "--help" | "-h" => return Err(String::new()),
-            f => return Err(format!("unknown flag `{f}`")),
+            Arg::Flag("--verify-iters") => args.verify_iters = cli.parse()?,
+            Arg::Flag("--trace-out") => args.trace_out = Some(cli.value()?),
+            Arg::Flag("--ledger") => args.ledger = Some(cli.value()?),
+            Arg::Flag("--metrics-out") => args.metrics_out = Some(cli.value()?),
+            Arg::Flag("--list") => args.list = true,
+            _ => return Err(CliError::unexpected(arg)),
         }
     }
     Ok(args)
@@ -259,16 +210,7 @@ fn explore(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("dse: {e}");
-            }
-            usage();
-            return ExitCode::from(2);
-        }
-    };
+    let args = cli::parse_env("dse", USAGE, parse_args);
 
     let benches = all_benchmarks();
     if args.list {

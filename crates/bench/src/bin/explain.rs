@@ -4,24 +4,35 @@
 //! buffers landed).
 //!
 //! ```text
-//! explain <benchmark-name-substring> [none|data|skid|all]
+//! explain [<benchmark>] [none|data|skid|all]
 //! ```
+//!
+//! The benchmark defaults to `genome`, the level to `none`.
+//!
+//! Exit status is 2 on usage errors (an unknown benchmark or level
+//! included), 0 otherwise; `--help` prints the usage and exits 0.
 
-use hlsb::{Flow, OptimizationOptions};
-use hlsb_bench::{find_benchmark, SEED};
+use hlsb::Flow;
+use hlsb_bench::{parse_level, resolve_benchmark, SEED};
+use hlsb_findings::cli::{self, Arg, CliError};
+
+const USAGE: &str = "usage: explain [<benchmark>] [none|data|skid|all]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args.get(1).map(String::as_str).unwrap_or("genome");
-    let level = args.get(2).map(String::as_str).unwrap_or("none");
-    let options = match level {
-        "all" => OptimizationOptions::all(),
-        "data" => OptimizationOptions::data_only(),
-        "skid" => OptimizationOptions::skid_plain(),
-        _ => OptimizationOptions::none(),
-    };
-
-    let bench = find_benchmark(name).unwrap_or_else(|| panic!("no benchmark matching '{name}'"));
+    let mut positional: Vec<String> = Vec::new();
+    let (bench, level, options) = cli::parse_env("explain", USAGE, |cli| {
+        while let Some(arg) = cli.next_arg()? {
+            match arg {
+                Arg::Positional(p) if positional.len() < 2 => positional.push(p.to_string()),
+                _ => return Err(CliError::unexpected(arg)),
+            }
+        }
+        let name = positional.first().map_or("genome", String::as_str);
+        let level = positional.get(1).map_or("none", String::as_str);
+        let options = parse_level(level)?;
+        let bench = resolve_benchmark(name)?;
+        Ok((bench, level, options))
+    });
     println!("== {} ({level}) on {} ==", bench.name, bench.device);
 
     let (result, netlist, placement) = Flow::new(bench.design.clone())

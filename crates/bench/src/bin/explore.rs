@@ -27,11 +27,13 @@
 //! metrics in the Prometheus text format.
 //!
 //! Exit status is 2 on usage errors, 1 if any converged configuration
-//! fails its differential-simulation or contract check, 0 otherwise.
+//! fails its differential-simulation or contract check, 0 otherwise;
+//! `--help` prints the usage and exits 0.
 
 use hlsb::FlowSession;
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
 use hlsb_explore::{report, ExploreConfig, FmaxExplorer, FreqLog};
+use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_telemetry::{render_prometheus, RunLedger, RunRecord};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -59,19 +61,15 @@ enum Format {
     Jsonl,
 }
 
-fn usage() {
-    eprintln!(
-        "usage: explore [--design <name>|all] [--configs <spec>[,<spec>...]]\n\
-         \x20              [--tolerance <mhz>] [--budget <n>] [--start <mhz>]\n\
-         \x20              [--seed <n>] [--verify-iters <n>] [--log <path>]\n\
-         \x20              [--format table|jsonl] [--trace-out <path>]\n\
-         \x20              [--ledger <path>] [--metrics-out <path>] [--list]\n\
-         \x20  config specs: none | all | 4-char mask (e.g. BS-M), each with an\n\
-         \x20  optional +rB.B injection suffix (e.g. all+r1.2)"
-    );
-}
+const USAGE: &str = "usage: explore [--design <name>|all] [--configs <spec>[,<spec>...]]\n\
+                     \x20              [--tolerance <mhz>] [--budget <n>] [--start <mhz>]\n\
+                     \x20              [--seed <n>] [--verify-iters <n>] [--log <path>]\n\
+                     \x20              [--format table|jsonl] [--trace-out <path>]\n\
+                     \x20              [--ledger <path>] [--metrics-out <path>] [--list]\n\
+                     \x20  config specs: none | all | 4-char mask (e.g. BS-M), each with an\n\
+                     \x20  optional +rB.B injection suffix (e.g. all+r1.2)";
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     let mut args = Args {
         design: "all".into(),
         configs: ExploreConfig::default_set(),
@@ -87,68 +85,38 @@ fn parse_args() -> Result<Args, String> {
         metrics_out: None,
         list: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--design" => args.design = it.next().ok_or("--design needs a value")?,
-            "--configs" => {
-                let c = it.next().ok_or("--configs needs a value")?;
-                args.configs = c
-                    .split(',')
-                    .map(|tok| {
-                        ExploreConfig::parse(tok.trim()).ok_or(format!("bad config spec `{tok}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if args.configs.is_empty() {
-                    return Err(format!("bad configs `{c}`"));
-                }
+    while let Some(arg) = cli.next_arg()? {
+        match arg {
+            Arg::Flag("--design") => args.design = cli.value()?,
+            Arg::Flag("--configs") => args.configs = cli.list_with(ExploreConfig::parse)?,
+            Arg::Flag("--tolerance") => {
+                args.tolerance_mhz = cli.parse()?;
+                cli.ensure(args.tolerance_mhz.is_finite() && args.tolerance_mhz > 0.0)?;
             }
-            "--tolerance" => {
-                let t = it.next().ok_or("--tolerance needs a value")?;
-                args.tolerance_mhz = t.parse().map_err(|_| format!("bad tolerance `{t}`"))?;
-                if !(args.tolerance_mhz.is_finite() && args.tolerance_mhz > 0.0) {
-                    return Err(format!("bad tolerance `{t}`"));
-                }
+            Arg::Flag("--budget") => {
+                args.budget = cli.parse()?;
+                cli.ensure(args.budget >= 1)?;
             }
-            "--budget" => {
-                let b = it.next().ok_or("--budget needs a value")?;
-                args.budget = b.parse().map_err(|_| format!("bad budget `{b}`"))?;
-                if args.budget == 0 {
-                    return Err("budget must be at least 1".into());
-                }
-            }
-            "--start" => {
-                let s = it.next().ok_or("--start needs a value")?;
-                let mhz: f64 = s.parse().map_err(|_| format!("bad start `{s}`"))?;
-                if !(mhz.is_finite() && mhz > 0.0) {
-                    return Err(format!("bad start `{s}`"));
-                }
+            Arg::Flag("--start") => {
+                let mhz: f64 = cli.parse()?;
+                cli.ensure(mhz.is_finite() && mhz > 0.0)?;
                 args.start_mhz = Some(mhz);
             }
-            "--seed" => {
-                let s = it.next().ok_or("--seed needs a value")?;
-                args.seed = s.parse().map_err(|_| format!("bad seed `{s}`"))?;
+            Arg::Flag("--seed") => args.seed = cli.parse()?,
+            Arg::Flag("--verify-iters") => args.verify_iters = cli.parse()?,
+            Arg::Flag("--log") => args.log = Some(cli.value()?),
+            Arg::Flag("--format") => {
+                args.format = cli.parse_with(|f| match f {
+                    "table" => Some(Format::Table),
+                    "jsonl" => Some(Format::Jsonl),
+                    _ => None,
+                })?;
             }
-            "--verify-iters" => {
-                let v = it.next().ok_or("--verify-iters needs a value")?;
-                args.verify_iters = v.parse().map_err(|_| format!("bad verify-iters `{v}`"))?;
-            }
-            "--log" => args.log = Some(it.next().ok_or("--log needs a value")?),
-            "--format" => {
-                args.format = match it.next().ok_or("--format needs a value")?.as_str() {
-                    "table" => Format::Table,
-                    "jsonl" => Format::Jsonl,
-                    f => return Err(format!("unknown format `{f}`")),
-                };
-            }
-            "--trace-out" => args.trace_out = Some(it.next().ok_or("--trace-out needs a path")?),
-            "--ledger" => args.ledger = Some(it.next().ok_or("--ledger needs a path")?),
-            "--metrics-out" => {
-                args.metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?);
-            }
-            "--list" => args.list = true,
-            "--help" | "-h" => return Err(String::new()),
-            f => return Err(format!("unknown flag `{f}`")),
+            Arg::Flag("--trace-out") => args.trace_out = Some(cli.value()?),
+            Arg::Flag("--ledger") => args.ledger = Some(cli.value()?),
+            Arg::Flag("--metrics-out") => args.metrics_out = Some(cli.value()?),
+            Arg::Flag("--list") => args.list = true,
+            _ => return Err(CliError::unexpected(arg)),
         }
     }
     Ok(args)
@@ -215,16 +183,7 @@ fn explore(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("explore: {e}");
-            }
-            usage();
-            return ExitCode::from(2);
-        }
-    };
+    let args = cli::parse_env("explore", USAGE, parse_args);
 
     let benches = all_benchmarks();
     if args.list {

@@ -2,8 +2,15 @@
 //! and the raw experimental delay for three operator classes across
 //! broadcast factors.
 //!
+//! ```text
+//! fig09 [--placed]
+//! ```
+//!
 //! Pass `--placed` to use the slow placed back-end (real placement + STA
 //! per skeleton) instead of the analytic model.
+//!
+//! Exit status is 2 on usage errors, 0 otherwise; `--help` prints the
+//! usage and exits 0.
 
 use hlsb::delay::{
     characterize, classify, CalibratedModel, CharacterizeConfig, DelayModel, HlsPredictedModel,
@@ -11,9 +18,19 @@ use hlsb::delay::{
 };
 use hlsb::fabric::Device;
 use hlsb::ir::{ArrayId, DataType, OpKind};
+use hlsb_findings::cli::{self, Arg, CliError};
 
 fn main() {
-    let placed = std::env::args().any(|a| a == "--placed");
+    let placed = cli::parse_env("fig09", "usage: fig09 [--placed]", |cli| {
+        let mut placed = false;
+        while let Some(arg) = cli.next_arg()? {
+            match arg {
+                Arg::Flag("--placed") => placed = true,
+                _ => return Err(CliError::unexpected(arg)),
+            }
+        }
+        Ok(placed)
+    });
     let device = Device::ultrascale_plus_vu9p();
     let config = CharacterizeConfig {
         placed,

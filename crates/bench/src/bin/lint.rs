@@ -10,17 +10,21 @@
 //! By default every benchmark is linted against its paper-mandated
 //! device and clock. `--target`/`--clock` override both for
 //! what-if runs (e.g. "would genome's broadcasts matter on a ZC706?").
-//! Exit status is 2 on usage errors, 1 if any finding is at or above the
-//! `--deny` severity (default `error`), 0 otherwise — so CI can gate on
-//! it like any other linter, and `--deny warning` makes warnings fatal.
+//! Exit status is 2 on usage errors (an unknown benchmark included), 1
+//! if any finding is at or above the `--deny` severity (default `error`),
+//! 0 otherwise — so CI can gate on it like any other linter, and
+//! `--deny warning` makes warnings fatal. `--help` prints the usage and
+//! exits 0.
 
+use hlsb_bench::{device_by_name, resolve_benchmarks};
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
 use hlsb_fabric::Device;
+use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_lint::{lint_with, render_sarif, LintConfig, LintReport, Severity};
 use std::process::ExitCode;
 
 struct Args {
-    design: String,
+    benches: Vec<Benchmark>,
     target: Option<Device>,
     clock_mhz: Option<f64>,
     format: Format,
@@ -35,66 +39,39 @@ enum Format {
     Sarif,
 }
 
-fn device_by_name(s: &str) -> Option<Device> {
-    match s {
-        "vu9p" => Some(Device::ultrascale_plus_vu9p()),
-        "zc706" => Some(Device::zynq_zc706()),
-        "u50" => Some(Device::alveo_u50()),
-        "virtex7" => Some(Device::virtex7()),
-        _ => None,
-    }
-}
+const USAGE: &str = "usage: lint [--design <name>|all] [--target vu9p|zc706|u50|virtex7]\n\
+                     \x20           [--clock <mhz>] [--format table|jsonl|sarif]\n\
+                     \x20           [--deny info|warning|error] [--list]";
 
-fn usage() {
-    eprintln!(
-        "usage: lint [--design <name>|all] [--target vu9p|zc706|u50|virtex7]\n\
-         \x20           [--clock <mhz>] [--format table|jsonl|sarif]\n\
-         \x20           [--deny info|warning|error] [--list]"
-    );
-}
-
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     let mut args = Args {
-        design: "all".into(),
+        benches: all_benchmarks(),
         target: None,
         clock_mhz: None,
         format: Format::Table,
         deny: Severity::Error,
         list: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--design" => {
-                args.design = it.next().ok_or("--design needs a value")?;
-            }
-            "--target" => {
-                let t = it.next().ok_or("--target needs a value")?;
-                args.target = Some(device_by_name(&t).ok_or(format!("unknown target `{t}`"))?);
-            }
-            "--clock" => {
-                let c = it.next().ok_or("--clock needs a value")?;
-                let mhz: f64 = c.parse().map_err(|_| format!("bad clock `{c}`"))?;
-                if !(mhz.is_finite() && mhz > 0.0) {
-                    return Err(format!("bad clock `{c}`"));
-                }
+    while let Some(arg) = cli.next_arg()? {
+        match arg {
+            Arg::Flag("--design") => args.benches = resolve_benchmarks(&cli.value()?)?,
+            Arg::Flag("--target") => args.target = Some(cli.parse_with(device_by_name)?),
+            Arg::Flag("--clock") => {
+                let mhz: f64 = cli.parse()?;
+                cli.ensure(mhz.is_finite() && mhz > 0.0)?;
                 args.clock_mhz = Some(mhz);
             }
-            "--format" => {
-                args.format = match it.next().ok_or("--format needs a value")?.as_str() {
-                    "table" => Format::Table,
-                    "jsonl" => Format::Jsonl,
-                    "sarif" => Format::Sarif,
-                    f => return Err(format!("unknown format `{f}`")),
-                };
+            Arg::Flag("--format") => {
+                args.format = cli.parse_with(|f| match f {
+                    "table" => Some(Format::Table),
+                    "jsonl" => Some(Format::Jsonl),
+                    "sarif" => Some(Format::Sarif),
+                    _ => None,
+                })?;
             }
-            "--deny" => {
-                let s = it.next().ok_or("--deny needs a value")?;
-                args.deny = Severity::parse(&s).ok_or(format!("unknown severity `{s}`"))?;
-            }
-            "--list" => args.list = true,
-            "--help" | "-h" => return Err(String::new()),
-            f => return Err(format!("unknown flag `{f}`")),
+            Arg::Flag("--deny") => args.deny = cli.parse_with(Severity::parse)?,
+            Arg::Flag("--list") => args.list = true,
+            _ => return Err(CliError::unexpected(arg)),
         }
     }
     Ok(args)
@@ -110,20 +87,9 @@ fn lint_benchmark(bench: &Benchmark, args: &Args) -> LintReport {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("lint: {e}");
-            }
-            usage();
-            return ExitCode::from(2);
-        }
-    };
-
-    let benches = all_benchmarks();
+    let args = cli::parse_env("lint", USAGE, parse_args);
     if args.list {
-        for b in &benches {
+        for b in all_benchmarks() {
             println!(
                 "{:<16} {:<22} {}",
                 b.design.name, b.broadcast_type, b.device.name
@@ -132,27 +98,11 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let selected: Vec<Benchmark> = if args.design == "all" {
-        benches
-    } else {
-        match hlsb_bench::find_benchmark(&args.design) {
-            Some(b) => vec![b],
-            None => {
-                eprintln!(
-                    "lint: no benchmark matching `{}` (try --list; one of: {})",
-                    args.design,
-                    benches
-                        .iter()
-                        .map(|b| b.design.name.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                return ExitCode::from(2);
-            }
-        }
-    };
-
-    let reports: Vec<LintReport> = selected.iter().map(|b| lint_benchmark(b, &args)).collect();
+    let reports: Vec<LintReport> = args
+        .benches
+        .iter()
+        .map(|b| lint_benchmark(b, &args))
+        .collect();
     match args.format {
         Format::Table => {
             for r in &reports {

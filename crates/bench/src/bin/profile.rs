@@ -18,66 +18,70 @@
 //! format (`path;sub value`, one line per stack, values in integer
 //! microseconds of self time) — feed it to any flamegraph renderer.
 //!
-//! Exit status is 2 on usage errors, 0 otherwise.
+//! Exit status is 2 on usage errors (an unknown benchmark, level or flag
+//! included) or an unreadable `--trace-in`, 1 if the collapsed stacks
+//! cannot be written, 0 otherwise; `--help` prints the usage and exits 0.
 
 use hlsb::{FlowSession, OptimizationOptions, Partitioning, TraceTree};
-use hlsb_bench::{benchmark_flow, expect_all, find_benchmark, parse_partitions};
-use hlsb_benchmarks::all_benchmarks;
+use hlsb_bench::{benchmark_flow, expect_all, parse_level, resolve_benchmarks};
+use hlsb_benchmarks::Benchmark;
+use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_telemetry::{collapsed_stacks, render_table, self_time};
 use std::process::ExitCode;
 
-fn usage() {
-    eprintln!(
-        "usage: profile [<benchmark>|all] [none|data|skid|all]\n\
-         \x20              [--partitions <n>|auto|off] [--trace-in <path>]\n\
-         \x20              [--collapsed-out <path>]"
-    );
+const USAGE: &str = "usage: profile [<benchmark>|all] [none|data|skid|all]\n\
+                     \x20              [--partitions <n>|auto|off] [--trace-in <path>]\n\
+                     \x20              [--collapsed-out <path>]";
+
+/// What to profile: an existing trace, or fresh runs.
+enum Source {
+    TraceIn(String),
+    Run {
+        benches: Vec<Benchmark>,
+        level: String,
+        options: OptimizationOptions,
+        partitions: Partitioning,
+    },
 }
 
-fn main() -> ExitCode {
+fn parse_args(cli: &mut Cli) -> Result<(Source, Option<String>), CliError> {
     let mut positional: Vec<String> = Vec::new();
     let mut trace_in: Option<String> = None;
     let mut collapsed_out: Option<String> = None;
     let mut partitions = Partitioning::Off;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--partitions" => match it.next().as_deref().and_then(parse_partitions) {
-                Some(p) => partitions = p,
-                None => {
-                    eprintln!("profile: --partitions needs <n>|auto|off");
-                    return ExitCode::from(2);
-                }
-            },
-            "--trace-in" => match it.next() {
-                Some(p) => trace_in = Some(p),
-                None => {
-                    eprintln!("profile: --trace-in needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--collapsed-out" => match it.next() {
-                Some(p) => collapsed_out = Some(p),
-                None => {
-                    eprintln!("profile: --collapsed-out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            _ => positional.push(arg),
+    while let Some(arg) = cli.next_arg()? {
+        match arg {
+            Arg::Flag("--partitions") => partitions = cli.parse()?,
+            Arg::Flag("--trace-in") => trace_in = Some(cli.value()?),
+            Arg::Flag("--collapsed-out") => collapsed_out = Some(cli.value()?),
+            Arg::Positional(p) if positional.len() < 2 => positional.push(p.to_string()),
+            _ => return Err(CliError::unexpected(arg)),
         }
     }
-    if positional.len() > 2 || (trace_in.is_some() && !positional.is_empty()) {
-        usage();
-        return ExitCode::from(2);
-    }
+    let source = match trace_in {
+        Some(_) if !positional.is_empty() => {
+            return Err(CliError::usage("--trace-in takes no benchmark or level"))
+        }
+        Some(path) => Source::TraceIn(path),
+        None => {
+            let name = positional.first().map_or("genome", String::as_str);
+            let level = positional.get(1).map_or("all", String::as_str);
+            Source::Run {
+                options: parse_level(level)?,
+                benches: resolve_benchmarks(name)?,
+                level: level.to_string(),
+                partitions,
+            }
+        }
+    };
+    Ok((source, collapsed_out))
+}
 
-    let owned_trees: Vec<TraceTree> = match &trace_in {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
+fn main() -> ExitCode {
+    let (source, collapsed_out) = cli::parse_env("profile", USAGE, parse_args);
+    let owned_trees: Vec<TraceTree> = match source {
+        Source::TraceIn(path) => {
+            let text = match std::fs::read_to_string(&path) {
                 Ok(text) => text,
                 Err(e) => {
                     eprintln!("profile: cannot read {path}: {e}");
@@ -92,31 +96,12 @@ fn main() -> ExitCode {
                 }
             }
         }
-        None => {
-            let name = positional.first().map(String::as_str).unwrap_or("genome");
-            let level = positional.get(1).map(String::as_str).unwrap_or("all");
-            let options = match level {
-                "all" => OptimizationOptions::all(),
-                "data" => OptimizationOptions::data_only(),
-                "skid" => OptimizationOptions::skid_plain(),
-                "none" => OptimizationOptions::none(),
-                other => {
-                    eprintln!("profile: unknown optimization level `{other}`");
-                    usage();
-                    return ExitCode::from(2);
-                }
-            };
-            let benches = if name == "all" {
-                all_benchmarks()
-            } else {
-                match find_benchmark(name) {
-                    Some(b) => vec![b],
-                    None => {
-                        eprintln!("profile: no benchmark matching `{name}`");
-                        return ExitCode::from(2);
-                    }
-                }
-            };
+        Source::Run {
+            benches,
+            level,
+            options,
+            partitions,
+        } => {
             let flows: Vec<_> = benches
                 .iter()
                 .map(|b| {

@@ -21,8 +21,9 @@
 //! rate. Review and commit the file; `--baseline` then gates CI.
 //!
 //! Exit status is 2 on usage errors, 1 when any check regresses,
-//! 0 when all checks pass.
+//! 0 when all checks pass; `--help` prints the usage and exits 0.
 
+use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_telemetry::{check, Baseline, RunLedger};
 use std::process::ExitCode;
 
@@ -34,14 +35,10 @@ struct Args {
     write_baseline: Option<String>,
 }
 
-fn usage() {
-    eprintln!(
-        "usage: report --ledger <path> [--baseline <path>] [--window <n>]\n\
-         \x20             [--max-ratio <r>] [--write-baseline <path>]"
-    );
-}
+const USAGE: &str = "usage: report --ledger <path> [--baseline <path>] [--window <n>]\n\
+                     \x20             [--max-ratio <r>] [--write-baseline <path>]";
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     let mut ledger = None;
     let mut args = Args {
         ledger: String::new(),
@@ -50,50 +47,33 @@ fn parse_args() -> Result<Args, String> {
         max_ratio: 4.0,
         write_baseline: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--ledger" => ledger = Some(it.next().ok_or("--ledger needs a path")?),
-            "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a path")?),
-            "--window" => {
-                let w = it.next().ok_or("--window needs a value")?;
-                args.window = w.parse().map_err(|_| format!("bad window `{w}`"))?;
-                if args.window == 0 {
-                    return Err("window must be at least 1".into());
-                }
+    while let Some(arg) = cli.next_arg()? {
+        match arg {
+            Arg::Flag("--ledger") => ledger = Some(cli.value()?),
+            Arg::Flag("--baseline") => args.baseline = Some(cli.value()?),
+            Arg::Flag("--window") => {
+                args.window = cli.parse()?;
+                cli.ensure(args.window >= 1)?;
             }
-            "--max-ratio" => {
-                let r = it.next().ok_or("--max-ratio needs a value")?;
-                args.max_ratio = r.parse().map_err(|_| format!("bad max-ratio `{r}`"))?;
-                if !(args.max_ratio.is_finite() && args.max_ratio >= 1.0) {
-                    return Err(format!("bad max-ratio `{r}` (want >= 1)"));
-                }
+            Arg::Flag("--max-ratio") => {
+                args.max_ratio = cli.parse()?;
+                cli.ensure(args.max_ratio.is_finite() && args.max_ratio >= 1.0)?;
             }
-            "--write-baseline" => {
-                args.write_baseline = Some(it.next().ok_or("--write-baseline needs a path")?);
-            }
-            "--help" | "-h" => return Err(String::new()),
-            f => return Err(format!("unknown flag `{f}`")),
+            Arg::Flag("--write-baseline") => args.write_baseline = Some(cli.value()?),
+            _ => return Err(CliError::unexpected(arg)),
         }
     }
-    args.ledger = ledger.ok_or("--ledger is required")?;
+    args.ledger = ledger.ok_or(CliError::usage("--ledger is required"))?;
     if args.baseline.is_none() && args.write_baseline.is_none() {
-        return Err("need --baseline to check or --write-baseline to derive one".into());
+        return Err(CliError::usage(
+            "need --baseline to check or --write-baseline to derive one",
+        ));
     }
     Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("report: {e}");
-            }
-            usage();
-            return ExitCode::from(2);
-        }
-    };
+    let args = cli::parse_env("report", USAGE, parse_args);
 
     let records = match RunLedger::load(&args.ledger) {
         Ok(records) => records,

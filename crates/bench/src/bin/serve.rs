@@ -18,11 +18,15 @@
 //! generated job lines are printed instead of served (pipe them to
 //! `hlsb-serve`). `--timing-out` appends one JSONL row per pass — the
 //! tracked throughput artifact.
+//!
+//! Exit status is 2 on usage errors or an unopenable store, 1 when any
+//! job fails, 0 otherwise; `--help` prints the usage and exits 0.
 
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_serve::{JobServer, JobStatus, ServeConfig};
 use hlsb_store::ArtifactStore;
 
@@ -41,7 +45,12 @@ struct Args {
     quiet: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: serve [--load <n>] [--designs <name,...>|all] [--dirty-every <k>]\n\
+                     \x20            [--options <mask>] [--repeat <r>] [--passes <p>]\n\
+                     \x20            [--workers <n>] [--wave <n>] [--store <dir>]\n\
+                     \x20            [--timing-out <file>] [--emit] [--quiet]";
+
+fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     let mut args = Args {
         load: 0,
         designs: Vec::new(),
@@ -56,52 +65,40 @@ fn parse_args() -> Result<Args, String> {
         emit: false,
         quiet: false,
     };
-    let usage = "usage: serve [--load <n>] [--designs <name,...>|all] [--dirty-every <k>]\n\
-                 \x20            [--options <mask>] [--repeat <r>] [--passes <p>]\n\
-                 \x20            [--workers <n>] [--wave <n>] [--store <dir>]\n\
-                 \x20            [--timing-out <file>] [--emit] [--quiet]";
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let num = |name: &str, it: &mut dyn Iterator<Item = String>| -> Result<usize, String> {
-            let v = it.next().ok_or(format!("{name} needs a value"))?;
-            v.parse().map_err(|_| format!("bad {name} value {v}"))
-        };
-        match arg.as_str() {
-            "--load" => args.load = num("--load", &mut it)?,
-            "--designs" => {
-                let v = it.next().ok_or("--designs needs a value")?;
-                if v == "all" {
-                    args.designs = hlsb_benchmarks::all_benchmarks()
-                        .iter()
-                        .map(|b| b.design.name.clone())
-                        .collect();
+    while let Some(arg) = cli.next_arg()? {
+        match arg {
+            Arg::Flag("--load") => args.load = cli.parse()?,
+            Arg::Flag("--designs") => {
+                let v = cli.value()?;
+                args.designs = if v == "all" {
+                    hlsb_benchmarks::all_benchmarks()
+                        .into_iter()
+                        .map(|b| b.design.name)
+                        .collect()
                 } else {
-                    args.designs = v.split(',').map(str::to_string).collect();
-                }
+                    v.split(',').map(str::to_string).collect()
+                };
             }
-            "--dirty-every" => args.dirty_every = num("--dirty-every", &mut it)?,
-            "--options" => args.options = it.next().ok_or("--options needs a value")?,
-            "--repeat" => args.repeat = num("--repeat", &mut it)?.max(1),
-            "--passes" => args.passes = num("--passes", &mut it)?.max(1),
-            "--workers" => args.workers = num("--workers", &mut it)?,
-            "--wave" => args.wave = num("--wave", &mut it)?.max(1),
-            "--store" => args.store = Some(it.next().ok_or("--store needs a value")?),
-            "--timing-out" => {
-                args.timing_out = Some(it.next().ok_or("--timing-out needs a value")?);
+            Arg::Flag("--dirty-every") => args.dirty_every = cli.parse()?,
+            Arg::Flag("--options") => {
+                args.options = cli.value()?;
+                cli.ensure(hlsb_serve::parse_options(&args.options).is_some())?;
             }
-            "--emit" => args.emit = true,
-            "--quiet" => args.quiet = true,
-            "--help" | "-h" => return Err(usage.to_string()),
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+            Arg::Flag("--repeat") => args.repeat = cli.parse::<usize>()?.max(1),
+            Arg::Flag("--passes") => args.passes = cli.parse::<usize>()?.max(1),
+            Arg::Flag("--workers") => args.workers = cli.parse()?,
+            Arg::Flag("--wave") => args.wave = cli.parse::<usize>()?.max(1),
+            Arg::Flag("--store") => args.store = Some(cli.value()?),
+            Arg::Flag("--timing-out") => args.timing_out = Some(cli.value()?),
+            Arg::Flag("--emit") => args.emit = true,
+            Arg::Flag("--quiet") => args.quiet = true,
+            _ => return Err(CliError::unexpected(arg)),
         }
     }
     if args.load == 0 && args.designs.is_empty() {
-        return Err(format!(
-            "nothing to serve: give --load and/or --designs\n{usage}"
+        return Err(CliError::usage(
+            "nothing to serve: give --load and/or --designs",
         ));
-    }
-    if hlsb_serve::parse_options(&args.options).is_none() {
-        return Err(format!("bad --options mask `{}`", args.options));
     }
     Ok(args)
 }
@@ -135,13 +132,7 @@ fn job_lines(args: &Args) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = cli::parse_env("serve", USAGE, parse_args);
     let lines = job_lines(&args);
     if args.emit {
         let stdout = std::io::stdout();

@@ -16,14 +16,21 @@
 //! instead of the table, for machine consumption in CI. `--design`
 //! restricts the sweep to one benchmark (substring match, same resolver
 //! as `explain`/`sweep`). `--trace-out` records a span trace per variant
-//! and writes the batch as Chrome trace-event JSON. In all modes the
-//! exit status is 1 when any variant fails its check, 0 otherwise.
+//! and writes the batch as Chrome trace-event JSON.
+//!
+//! Exit status is 2 on usage errors (an unknown benchmark included), 1
+//! when any variant fails its check, 0 otherwise; `--help` prints the
+//! usage and exits 0.
 
 use hlsb::lint::render::json_escape;
 use hlsb::sim::Stimulus;
 use hlsb::{chrome_trace, Flow, FlowSession, OptimizationOptions, TraceTree};
+use hlsb_bench::resolve_benchmark;
 use hlsb_benchmarks::all_benchmarks;
+use hlsb_findings::cli::{self, Arg, CliError};
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: simcheck [--json] [--design <name>] [--trace-out <path>]";
 
 /// Iterations simulated per loop (trip counts are capped to this).
 const ITERS_CAP: u64 = 48;
@@ -50,42 +57,19 @@ fn combos() -> Vec<(String, OptimizationOptions)> {
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut design: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => json = true,
-            "--design" => match it.next() {
-                Some(d) => design = Some(d),
-                None => {
-                    eprintln!("simcheck: --design needs a value");
-                    return ExitCode::from(2);
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => {
-                    eprintln!("simcheck: --trace-out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => {
-                eprintln!("usage: simcheck [--json] [--design <name>] [--trace-out <path>]");
-                return ExitCode::from(2);
+    let benches = cli::parse_env("simcheck", USAGE, |cli| {
+        let mut benches = all_benchmarks();
+        while let Some(arg) = cli.next_arg()? {
+            match arg {
+                Arg::Flag("--json") => json = true,
+                Arg::Flag("--design") => benches = vec![resolve_benchmark(&cli.value()?)?],
+                Arg::Flag("--trace-out") => trace_out = Some(cli.value()?),
+                _ => return Err(CliError::unexpected(arg)),
             }
         }
-    }
-    let benches = match &design {
-        Some(name) => match hlsb_bench::find_benchmark(name) {
-            Some(b) => vec![b],
-            None => {
-                eprintln!("simcheck: no benchmark matching `{name}`");
-                return ExitCode::from(2);
-            }
-        },
-        None => all_benchmarks(),
-    };
+        Ok(benches)
+    });
 
     let session = FlowSession::new();
     if !json {

@@ -3,57 +3,49 @@
 //! the physical fabric has the last word).
 //!
 //! ```text
-//! sweep <benchmark-name-substring> [none|data|skid|all]
+//! sweep [<benchmark>] [none|data|skid|all]
 //!       [--partitions <n>|auto|off] [--trace-out <path>]
 //! ```
 //!
+//! The benchmark defaults to `genome`, the level to `all`.
 //! The targets run through one [`hlsb::FlowSession`]: the front-end
 //! artifact is clock-independent, so all seven flows unroll once and the
 //! sweep parallelizes across clock targets up to the thread budget.
 //! `--trace-out` records a span trace per target and writes the batch as
 //! Chrome trace-event JSON (one process per clock target; load in
 //! Perfetto or `chrome://tracing`).
+//!
+//! Exit status is 2 on usage errors (an unknown benchmark, level or flag
+//! included), 1 if the trace cannot be written, 0 otherwise; `--help`
+//! prints the usage and exits 0.
 
-use hlsb::{chrome_trace, Flow, FlowSession, OptimizationOptions, Partitioning};
-use hlsb_bench::{expect_all, find_benchmark, parse_partitions, pass_summary, SEED};
+use hlsb::{chrome_trace, Flow, FlowSession, Partitioning};
+use hlsb_bench::{expect_all, parse_level, pass_summary, resolve_benchmark, SEED};
+use hlsb_findings::cli::{self, Arg, CliError};
 
 const TARGETS: [f64; 7] = [150.0, 200.0, 250.0, 300.0, 333.0, 400.0, 500.0];
+
+const USAGE: &str = "usage: sweep [<benchmark>] [none|data|skid|all]\n\
+                     \x20            [--partitions <n>|auto|off] [--trace-out <path>]";
 
 fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut trace_out: Option<String> = None;
     let mut partitions = Partitioning::Off;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--trace-out" => {
-                trace_out = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("sweep: --trace-out needs a path");
-                    std::process::exit(2);
-                }));
+    let (bench, level, options) = cli::parse_env("sweep", USAGE, |cli| {
+        while let Some(arg) = cli.next_arg()? {
+            match arg {
+                Arg::Flag("--trace-out") => trace_out = Some(cli.value()?),
+                Arg::Flag("--partitions") => partitions = cli.parse()?,
+                Arg::Positional(p) if positional.len() < 2 => positional.push(p.to_string()),
+                _ => return Err(CliError::unexpected(arg)),
             }
-            "--partitions" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("sweep: --partitions needs <n>|auto|off");
-                    std::process::exit(2);
-                });
-                partitions = parse_partitions(&v).unwrap_or_else(|| {
-                    eprintln!("sweep: bad --partitions value `{v}` (want <n>|auto|off)");
-                    std::process::exit(2);
-                });
-            }
-            _ => positional.push(arg),
         }
-    }
-    let name = positional.first().map(String::as_str).unwrap_or("genome");
-    let level = positional.get(1).map(String::as_str).unwrap_or("all");
-    let options = match level {
-        "all" => OptimizationOptions::all(),
-        "data" => OptimizationOptions::data_only(),
-        "skid" => OptimizationOptions::skid_plain(),
-        _ => OptimizationOptions::none(),
-    };
-    let bench = find_benchmark(name).unwrap_or_else(|| panic!("no benchmark matching '{name}'"));
+        let name = positional.first().map_or("genome", String::as_str);
+        let level = positional.get(1).map_or("all", String::as_str);
+        let options = parse_level(level)?;
+        Ok((resolve_benchmark(name)?, level, options))
+    });
 
     println!("clock-target sweep: {} ({level})", bench.name);
     println!(

@@ -16,21 +16,19 @@
 //! ride on their own tracks. `--jsonl-out` writes the lossless JSONL
 //! encoding ([`hlsb::TraceTree::from_jsonl`] round-trips it); with
 //! several runs, each tree goes to `<stem>.<idx>.<ext>`.
+//!
+//! Exit status is 2 on usage errors (an unknown benchmark, level or flag
+//! included), 1 if an output cannot be written, 0 otherwise; `--help`
+//! prints the usage and exits 0.
 
-use hlsb::{
-    chrome_trace, FlowSession, MetricsRegistry, OptimizationOptions, Partitioning, TraceTree,
-};
-use hlsb_bench::{benchmark_flow, expect_all, find_benchmark, parse_partitions};
-use hlsb_benchmarks::all_benchmarks;
+use hlsb::{chrome_trace, FlowSession, MetricsRegistry, Partitioning, TraceTree};
+use hlsb_bench::{benchmark_flow, expect_all, parse_level, resolve_benchmarks};
+use hlsb_findings::cli::{self, Arg, CliError};
 use std::process::ExitCode;
 
-fn usage() {
-    eprintln!(
-        "usage: trace [<benchmark>|all] [none|data|skid|all]\n\
-         \x20            [--partitions <n>|auto|off]\n\
-         \x20            [--trace-out <path>] [--jsonl-out <path>]"
-    );
-}
+const USAGE: &str = "usage: trace [<benchmark>|all] [none|data|skid|all]\n\
+                     \x20            [--partitions <n>|auto|off]\n\
+                     \x20            [--trace-out <path>] [--jsonl-out <path>]";
 
 /// Per-run output path: the base path as-is for a single run, otherwise
 /// the run index is spliced in before the extension.
@@ -49,66 +47,21 @@ fn main() -> ExitCode {
     let mut trace_out: Option<String> = None;
     let mut jsonl_out: Option<String> = None;
     let mut partitions = Partitioning::Off;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--partitions" => match it.next().as_deref().and_then(parse_partitions) {
-                Some(p) => partitions = p,
-                None => {
-                    eprintln!("trace: --partitions needs <n>|auto|off");
-                    return ExitCode::from(2);
-                }
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p),
-                None => {
-                    eprintln!("trace: --trace-out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--jsonl-out" => match it.next() {
-                Some(p) => jsonl_out = Some(p),
-                None => {
-                    eprintln!("trace: --jsonl-out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            _ => positional.push(arg),
-        }
-    }
-    if positional.len() > 2 {
-        usage();
-        return ExitCode::from(2);
-    }
-    let name = positional.first().map(String::as_str).unwrap_or("genome");
-    let level = positional.get(1).map(String::as_str).unwrap_or("all");
-    let options = match level {
-        "all" => OptimizationOptions::all(),
-        "data" => OptimizationOptions::data_only(),
-        "skid" => OptimizationOptions::skid_plain(),
-        "none" => OptimizationOptions::none(),
-        other => {
-            eprintln!("trace: unknown optimization level `{other}`");
-            usage();
-            return ExitCode::from(2);
-        }
-    };
-
-    let benches = if name == "all" {
-        all_benchmarks()
-    } else {
-        match find_benchmark(name) {
-            Some(b) => vec![b],
-            None => {
-                eprintln!("trace: no benchmark matching `{name}`");
-                return ExitCode::from(2);
+    let (benches, level, options) = cli::parse_env("trace", USAGE, |cli| {
+        while let Some(arg) = cli.next_arg()? {
+            match arg {
+                Arg::Flag("--partitions") => partitions = cli.parse()?,
+                Arg::Flag("--trace-out") => trace_out = Some(cli.value()?),
+                Arg::Flag("--jsonl-out") => jsonl_out = Some(cli.value()?),
+                Arg::Positional(p) if positional.len() < 2 => positional.push(p.to_string()),
+                _ => return Err(CliError::unexpected(arg)),
             }
         }
-    };
+        let name = positional.first().map_or("genome", String::as_str);
+        let level = positional.get(1).map_or("all", String::as_str);
+        let options = parse_level(level)?;
+        Ok((resolve_benchmarks(name)?, level, options))
+    });
 
     let flows: Vec<_> = benches
         .iter()

@@ -62,7 +62,9 @@ mod cache;
 pub use cache::{CacheHit, CacheStats, StageCacheStats};
 pub use error::FlowError;
 pub use flow::Flow;
-pub use options::{OptimizationOptions, Partitioning, PlaceEffort, RegisterInjection};
+pub use options::{
+    OptimizationOptions, ParseKnobError, Partitioning, PlaceEffort, RegisterInjection,
+};
 pub use passes::{FrontEndArtifact, LoopFrontEndInfo, LoopScheduleTrace, ScheduleArtifact};
 pub use result::{ImplementationResult, PartitionSummary, Utilization};
 pub use session::{FlowSession, ProbeOutcome, SimulationOutcome};

@@ -1,4 +1,11 @@
 //! Flow options.
+//!
+//! Each knob has one spelling, written by its `label` and read back by
+//! its `FromStr`: every record, job line, report label and command line
+//! goes through these two, so `label().parse()` always round-trips.
+
+use std::fmt;
+use std::str::FromStr;
 
 /// Which of the paper's optimizations the flow applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -118,8 +125,40 @@ impl RegisterInjection {
     }
 }
 
+/// A knob spelling that names no value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseKnobError;
+
+impl fmt::Display for ParseKnobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("unknown knob value")
+    }
+}
+
+impl std::error::Error for ParseKnobError {}
+
+impl FromStr for RegisterInjection {
+    type Err = ParseKnobError;
+
+    /// Reads a [`RegisterInjection::label`]: `off` or `r` followed by
+    /// `.`-joined boundaries.
+    fn from_str(s: &str) -> Result<Self, ParseKnobError> {
+        if s == "off" {
+            return Ok(RegisterInjection::Off);
+        }
+        let boundaries = s
+            .strip_prefix('r')
+            .ok_or(ParseKnobError)?
+            .split('.')
+            .map(|b| b.parse().map_err(|_| ParseKnobError))
+            .collect::<Result<_, _>>()?;
+        Ok(RegisterInjection::at(boundaries))
+    }
+}
+
 /// Placement effort (trade runtime for quality; results stay
-/// deterministic for a fixed seed and effort).
+/// deterministic for a fixed seed and effort). Spelled `fast` or
+/// `normal` ([`PlaceEffort::label`]) everywhere it is written or read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlaceEffort {
     /// Reduced annealing for tests and quick iterations.
@@ -127,6 +166,29 @@ pub enum PlaceEffort {
     /// Default annealing.
     #[default]
     Normal,
+}
+
+impl PlaceEffort {
+    /// The effort's one spelling: `fast` or `normal`.
+    pub fn label(self) -> &'static str {
+        match self {
+            PlaceEffort::Fast => "fast",
+            PlaceEffort::Normal => "normal",
+        }
+    }
+}
+
+impl FromStr for PlaceEffort {
+    type Err = ParseKnobError;
+
+    /// Reads a [`PlaceEffort::label`].
+    fn from_str(s: &str) -> Result<Self, ParseKnobError> {
+        match s {
+            "fast" => Ok(PlaceEffort::Fast),
+            "normal" => Ok(PlaceEffort::Normal),
+            _ => Err(ParseKnobError),
+        }
+    }
 }
 
 /// Island partitioning of the implement stage.
@@ -137,6 +199,9 @@ pub enum PlaceEffort {
 /// (`hlsb-place::partition`). Islands place in parallel, yet the result
 /// is a pure function of `(netlist, seed, partition)` — never of the
 /// worker thread count.
+///
+/// Spelled `off`, `auto` or the island count ([`Partitioning::label`])
+/// everywhere it is written or read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Partitioning {
     /// Flat placement: one annealer over the whole device (the classic
@@ -161,6 +226,32 @@ impl Partitioning {
             Partitioning::Fixed(k) => k >= 2,
         }
     }
+
+    /// The partitioning's one spelling: `off`, `auto` or the island
+    /// count.
+    pub fn label(self) -> String {
+        match self {
+            Partitioning::Off => "off".to_string(),
+            Partitioning::Auto => "auto".to_string(),
+            Partitioning::Fixed(k) => k.to_string(),
+        }
+    }
+}
+
+impl FromStr for Partitioning {
+    type Err = ParseKnobError;
+
+    /// Reads a [`Partitioning::label`].
+    fn from_str(s: &str) -> Result<Self, ParseKnobError> {
+        match s {
+            "off" => Ok(Partitioning::Off),
+            "auto" => Ok(Partitioning::Auto),
+            n => n
+                .parse()
+                .map(Partitioning::Fixed)
+                .map_err(|_| ParseKnobError),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -178,6 +269,45 @@ mod tests {
         assert_eq!(RegisterInjection::Off.label(), "off");
         assert!(!RegisterInjection::Off.is_enabled());
         assert_eq!(RegisterInjection::at(vec![2]).boundaries(), &[2]);
+    }
+
+    #[test]
+    fn every_knob_label_parses_back_to_itself() {
+        for effort in [PlaceEffort::Fast, PlaceEffort::Normal] {
+            assert_eq!(effort.label().parse(), Ok(effort));
+        }
+        for p in [
+            Partitioning::Off,
+            Partitioning::Auto,
+            Partitioning::Fixed(0),
+            Partitioning::Fixed(1),
+            Partitioning::Fixed(2),
+            Partitioning::Fixed(16),
+        ] {
+            assert_eq!(p.label().parse(), Ok(p));
+        }
+        for inject in [
+            RegisterInjection::Off,
+            RegisterInjection::at(vec![1]),
+            RegisterInjection::at(vec![1, 3]),
+        ] {
+            assert_eq!(inject.label().parse(), Ok(inject));
+        }
+        assert_eq!(PlaceEffort::Fast.label(), "fast");
+        assert_eq!(Partitioning::Fixed(16).label(), "16");
+    }
+
+    #[test]
+    fn knob_parsers_reject_other_spellings() {
+        for bad in ["", "r", "r1..2", "fastest", "-1"] {
+            assert_eq!(bad.parse::<PlaceEffort>(), Err(ParseKnobError), "{bad:?}");
+            assert_eq!(bad.parse::<Partitioning>(), Err(ParseKnobError), "{bad:?}");
+            assert_eq!(
+                bad.parse::<RegisterInjection>(),
+                Err(ParseKnobError),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

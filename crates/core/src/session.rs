@@ -39,7 +39,7 @@ use std::borrow::Cow;
 use crate::cache::{self, ArtifactCache, CacheHit, CacheStats, StageCacheStats};
 use crate::error::FlowError;
 use crate::flow::Flow;
-use crate::options::{OptimizationOptions, PlaceEffort};
+use crate::options::OptimizationOptions;
 use crate::passes::{self, FrontEndArtifact, ScheduleArtifact};
 use crate::result::ImplementationResult;
 use crate::trace::PassTrace;
@@ -416,22 +416,9 @@ impl FlowSession {
             root.attr("clock-mhz", flow.clock_mhz);
             root.attr("seed", flow.seed);
             root.attr("options", options_label(&flow.options));
-            root.attr(
-                "effort",
-                match flow.effort {
-                    PlaceEffort::Fast => "fast",
-                    PlaceEffort::Normal => "normal",
-                },
-            );
+            root.attr("effort", flow.effort.label());
             root.attr("place-seeds", u64::from(flow.place_seeds));
-            root.attr(
-                "partitions",
-                match flow.partitions {
-                    crate::options::Partitioning::Off => "off".to_string(),
-                    crate::options::Partitioning::Auto => "auto".to_string(),
-                    crate::options::Partitioning::Fixed(k) => k.to_string(),
-                },
-            );
+            root.attr("partitions", flow.partitions.label());
             root.attr("inject", flow.inject.label());
             root.attr_volatile("threads", self.threads as u64);
         }

@@ -75,14 +75,10 @@ impl DseConfig {
             if self.options.min_area_skid { 'M' } else { '-' },
             self.clock_mhz,
             self.place_seeds,
-            match self.effort {
-                PlaceEffort::Fast => "fast",
-                PlaceEffort::Normal => "normal",
-            },
+            self.effort.label(),
             match self.partitions {
                 Partitioning::Off => String::new(),
-                Partitioning::Auto => " pauto".to_string(),
-                Partitioning::Fixed(k) => format!(" p{k}"),
+                p => format!(" p{}", p.label()),
             }
         )
     }

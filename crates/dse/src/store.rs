@@ -18,7 +18,7 @@
 
 use std::path::Path;
 
-use hlsb::{OptimizationOptions, Partitioning, PlaceEffort};
+use hlsb::{OptimizationOptions, Partitioning};
 use hlsb_findings::json::{self, JsonError};
 use hlsb_findings::json_escape;
 use hlsb_store::{JsonlRecord, JsonlTable};
@@ -75,15 +75,8 @@ impl JsonlRecord for Record {
             o.min_area_skid,
             self.config.clock_mhz,
             self.config.place_seeds,
-            match self.config.effort {
-                PlaceEffort::Fast => "fast",
-                PlaceEffort::Normal => "normal",
-            },
-            match self.config.partitions {
-                Partitioning::Off => "off".to_string(),
-                Partitioning::Auto => "auto".to_string(),
-                Partitioning::Fixed(k) => k.to_string(),
-            },
+            self.config.effort.label(),
+            self.config.partitions.label(),
             self.metrics.fmax_mhz,
             self.metrics.latency_cycles,
             self.metrics.area_cells,
@@ -95,25 +88,20 @@ impl JsonlRecord for Record {
             // The label is derived from the configuration; it is written
             // for readers of the file and not read back.
             o.take("label");
-            let effort = match o.req::<String>("effort")?.as_str() {
-                "fast" => PlaceEffort::Fast,
-                "normal" => PlaceEffort::Normal,
-                _ => {
-                    return Err(JsonError::Mistyped(
-                        "effort".to_string(),
-                        "`fast` or `normal`",
-                    ))
-                }
-            };
+            let effort = o
+                .req::<String>("effort")?
+                .parse()
+                .map_err(|_| JsonError::Mistyped("effort".to_string(), "`fast` or `normal`"))?;
             // Records written before island partitioning carry no
             // `partitions` field; they were all flat.
-            let partitions = match o.opt::<String>("partitions")?.as_deref() {
-                None | Some("off") => Partitioning::Off,
-                Some("auto") => Partitioning::Auto,
-                Some(k) => Partitioning::Fixed(k.parse().map_err(|_| {
+            let partitions = o
+                .opt::<String>("partitions")?
+                .map(|p| p.parse::<Partitioning>())
+                .transpose()
+                .map_err(|_| {
                     JsonError::Mistyped("partitions".to_string(), "`off`, `auto` or a count")
-                })?),
-            };
+                })?
+                .unwrap_or_default();
             Ok(Record {
                 key: o.req("key")?,
                 design: o.req("design")?,
@@ -206,6 +194,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlsb::PlaceEffort;
     use std::fs::OpenOptions;
 
     fn record(key: u64, fmax: f64) -> Record {

@@ -113,14 +113,10 @@ impl ExploreConfig {
                 String::new()
             },
             self.place_seeds,
-            match self.effort {
-                PlaceEffort::Fast => "fast",
-                PlaceEffort::Normal => "normal",
-            },
+            self.effort.label(),
             match self.partitions {
                 Partitioning::Off => String::new(),
-                Partitioning::Auto => " pauto".to_string(),
-                Partitioning::Fixed(k) => format!(" p{k}"),
+                p => format!(" p{}", p.label()),
             }
         )
     }
@@ -131,17 +127,8 @@ impl ExploreConfig {
     /// followed by `+rB.B` naming injection boundaries (`all+r1.2`).
     /// Returns `None` for anything else.
     pub fn parse(spec: &str) -> Option<ExploreConfig> {
-        let (mask, inject) = match spec.split_once("+r") {
-            Some((mask, b)) => {
-                let boundaries: Vec<u32> = b
-                    .split('.')
-                    .map(|tok| tok.parse().ok())
-                    .collect::<Option<_>>()?;
-                if boundaries.is_empty() {
-                    return None;
-                }
-                (mask, RegisterInjection::at(boundaries))
-            }
+        let (mask, inject) = match spec.find("+r") {
+            Some(at) => (&spec[..at], spec[at + 1..].parse().ok()?),
             None => (spec, RegisterInjection::Off),
         };
         let options = match mask {

@@ -11,8 +11,10 @@
 //! A [`Report`] is self-describing: it carries the producing tool's name
 //! and its full rule registry ([`RuleMeta`]), so [`render_sarif`] can
 //! declare every rule in the run metadata even when only some fired.
-//! The crate also owns the workspace's one JSON codec, [`json`].
+//! The crate also owns the workspace's one JSON codec, [`json`], and its
+//! one command-line reader, [`cli`].
 
+pub mod cli;
 pub mod diag;
 pub mod json;
 pub mod render;

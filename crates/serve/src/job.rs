@@ -115,36 +115,6 @@ pub fn parse_options(s: &str) -> Option<OptimizationOptions> {
     Some(o)
 }
 
-fn partitions_label(p: Partitioning) -> String {
-    match p {
-        Partitioning::Off => "off".to_string(),
-        Partitioning::Auto => "auto".to_string(),
-        Partitioning::Fixed(k) => k.to_string(),
-    }
-}
-
-fn parse_partitions(s: &str) -> Option<Partitioning> {
-    match s {
-        "off" => Some(Partitioning::Off),
-        "auto" => Some(Partitioning::Auto),
-        n => n.parse().ok().map(Partitioning::Fixed),
-    }
-}
-
-/// Parses a [`RegisterInjection::label`] string: `off` or `r1.3`
-/// (boundaries joined by `.`).
-fn parse_inject(s: &str) -> Option<RegisterInjection> {
-    if s == "off" {
-        return Some(RegisterInjection::Off);
-    }
-    let body = s.strip_prefix('r')?;
-    let mut boundaries = Vec::new();
-    for part in body.split('.') {
-        boundaries.push(part.parse().ok()?);
-    }
-    Some(RegisterInjection::at(boundaries))
-}
-
 impl JobSpec {
     /// Renders the job as one canonical JSON line (no trailing newline).
     /// Optional fields at their defaults are still written, so the line
@@ -164,11 +134,8 @@ impl JobSpec {
             options_mask(&self.options),
             self.seed,
             self.place_seeds,
-            match self.effort {
-                PlaceEffort::Fast => "fast",
-                PlaceEffort::Normal => "normal",
-            },
-            partitions_label(self.partitions),
+            self.effort.label(),
+            self.partitions.label(),
             self.inject.label(),
         )
     }
@@ -200,18 +167,15 @@ impl JobSpec {
         job.seed = o.opt("seed")?.unwrap_or(job.seed);
         job.place_seeds = o.opt("place_seeds")?.unwrap_or(job.place_seeds);
         if let Some(s) = o.opt::<String>("effort")? {
-            job.effort = match s.as_str() {
-                "fast" => PlaceEffort::Fast,
-                "normal" => PlaceEffort::Normal,
-                other => return Err(format!("bad `effort` value `{other}`")),
-            };
+            job.effort = s.parse().map_err(|_| format!("bad `effort` value `{s}`"))?;
         }
         if let Some(s) = o.opt::<String>("partitions")? {
-            job.partitions =
-                parse_partitions(&s).ok_or_else(|| format!("bad `partitions` value `{s}`"))?;
+            job.partitions = s
+                .parse()
+                .map_err(|_| format!("bad `partitions` value `{s}`"))?;
         }
         if let Some(s) = o.opt::<String>("inject")? {
-            job.inject = parse_inject(&s).ok_or_else(|| format!("bad `inject` value `{s}`"))?;
+            job.inject = s.parse().map_err(|_| format!("bad `inject` value `{s}`"))?;
         }
         o.finish()?;
         Ok(job)
@@ -269,11 +233,8 @@ impl JobSpec {
             options_mask(&self.options),
             self.seed,
             self.place_seeds,
-            match self.effort {
-                PlaceEffort::Fast => "fast",
-                PlaceEffort::Normal => "normal",
-            },
-            partitions_label(self.partitions),
+            self.effort.label(),
+            self.partitions.label(),
             self.inject.label(),
         )
     }

@@ -21,12 +21,14 @@
 //! run — bind port 0 for an ephemeral port, printed on stderr.
 //!
 //! Exit code: 0 when every job was answered (`done` or `rejected`), 1
-//! when any job `failed`, 2 for usage errors.
+//! when any job `failed`, 2 for usage errors; `--help` prints the usage
+//! and exits 0.
 
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_serve::{JobServer, JobStatus, ServeConfig};
 use hlsb_store::ArtifactStore;
 use hlsb_telemetry::{render_prometheus, MetricsServer, RunLedger};
@@ -44,7 +46,11 @@ struct Args {
     listen: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: hlsb-serve [--jobs <file>] [--store <dir>] [--workers <n>] [--wave <n>]\n\
+                     \x20                 [--no-verify] [--trace-out <file>] [--summary-out <file>]\n\
+                     \x20                 [--ledger <file>] [--metrics-out <file>] [--listen <addr>]";
+
+fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     let mut args = Args {
         jobs: None,
         store: None,
@@ -57,50 +63,26 @@ fn parse_args() -> Result<Args, String> {
         metrics_out: None,
         listen: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--jobs" => args.jobs = Some(it.next().ok_or("--jobs needs a value")?),
-            "--store" => args.store = Some(it.next().ok_or("--store needs a value")?),
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                args.workers = v.parse().map_err(|_| format!("bad --workers {v}"))?;
-            }
-            "--wave" => {
-                let v = it.next().ok_or("--wave needs a value")?;
-                args.wave = v.parse().map_err(|_| format!("bad --wave {v}"))?;
-            }
-            "--no-verify" => args.verify = false,
-            "--trace-out" => args.trace_out = Some(it.next().ok_or("--trace-out needs a value")?),
-            "--summary-out" => {
-                args.summary_out = Some(it.next().ok_or("--summary-out needs a value")?);
-            }
-            "--ledger" => args.ledger = Some(it.next().ok_or("--ledger needs a value")?),
-            "--metrics-out" => {
-                args.metrics_out = Some(it.next().ok_or("--metrics-out needs a value")?);
-            }
-            "--listen" => args.listen = Some(it.next().ok_or("--listen needs a value")?),
-            "--help" | "-h" => {
-                return Err("usage: hlsb-serve [--jobs <file>] [--store <dir>] \
-                            [--workers <n>] [--wave <n>] [--no-verify] \
-                            [--trace-out <file>] [--summary-out <file>] \
-                            [--ledger <file>] [--metrics-out <file>] [--listen <addr>]"
-                    .to_string());
-            }
-            other => return Err(format!("unknown argument `{other}` (try --help)")),
+    while let Some(arg) = cli.next_arg()? {
+        match arg {
+            Arg::Flag("--jobs") => args.jobs = Some(cli.value()?),
+            Arg::Flag("--store") => args.store = Some(cli.value()?),
+            Arg::Flag("--workers") => args.workers = cli.parse()?,
+            Arg::Flag("--wave") => args.wave = cli.parse()?,
+            Arg::Flag("--no-verify") => args.verify = false,
+            Arg::Flag("--trace-out") => args.trace_out = Some(cli.value()?),
+            Arg::Flag("--summary-out") => args.summary_out = Some(cli.value()?),
+            Arg::Flag("--ledger") => args.ledger = Some(cli.value()?),
+            Arg::Flag("--metrics-out") => args.metrics_out = Some(cli.value()?),
+            Arg::Flag("--listen") => args.listen = Some(cli.value()?),
+            _ => return Err(CliError::unexpected(arg)),
         }
     }
     Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = cli::parse_env("hlsb-serve", USAGE, parse_args);
 
     let cfg = ServeConfig {
         workers: args.workers,

@@ -155,18 +155,20 @@ impl Flow {
         self
     }
 
-    /// Enables hierarchical span tracing with decision provenance
-    /// ([`hlsb_trace`]): the run records a span per pipeline stage (and
-    /// per placement trial) plus the individual optimization decisions —
-    /// chain splits, done-signal pruning, skid-buffer placement — and
+    /// Enables detailed span tracing with decision provenance
+    /// ([`hlsb_trace`]). Every run records one span per pipeline stage
+    /// regardless of this flag — those spans are the stage timer, and the
+    /// flat [`PassTrace`](crate::PassTrace) is always derived from them.
+    /// Tracing adds detail to the same tree: the flow's configuration on
+    /// the root span, a span per placement trial (and per partition
+    /// island), and the individual optimization decisions — chain splits,
+    /// done-signal pruning, skid-buffer placement — as events. It also
     /// attaches the tree to
     /// [`ImplementationResult::span_tree`](crate::ImplementationResult::span_tree)
     /// (also [`SimulationOutcome`](crate::SimulationOutcome) and
-    /// [`ProbeOutcome`](crate::ProbeOutcome)). The flat
-    /// [`PassTrace`](crate::PassTrace) is then *derived* from the tree, so
-    /// the two views cannot drift. Off by default: the disabled collector
-    /// reads no clock and allocates nothing, and tracing never affects
-    /// the implementation result (it is excluded from [`config_key`]).
+    /// [`ProbeOutcome`](crate::ProbeOutcome)). Off by default. Tracing
+    /// never affects the implementation result or the `PassTrace` (it is
+    /// excluded from [`config_key`]).
     ///
     /// [`config_key`]: Flow::config_key
     pub fn trace(mut self, enabled: bool) -> Self {

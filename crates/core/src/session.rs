@@ -13,15 +13,18 @@
 //!   in [`run_many`](FlowSession::run_many), run on scoped threads. The
 //!   reductions are order-independent, so results are bit-identical to a
 //!   single-threaded run.
-//! * **Observability.** With [`Flow::trace`] enabled, every run records
-//!   a hierarchical span tree ([`hlsb_trace`]) with one span per stage
-//!   and per placement trial, plus *decision events* — the individual
-//!   chain splits, done-signal prunings and skid-buffer placements the
-//!   optimizations perform. Decision payloads are replayed from data
-//!   stored in the (cached) stage artifacts, so cached and cold runs
-//!   produce equal trees under [`hlsb_trace::TraceTree::normalized`]
-//!   equality, and trial spans are emitted post-hoc in trial order so
-//!   parallel and sequential runs do too.
+//! * **Observability.** Every run records one span per stage
+//!   ([`hlsb_trace`]); the flat [`PassTrace`] and the run ledger's stage
+//!   timings are derived from those spans. With [`Flow::trace`] enabled
+//!   the run adds detail to the same tree: the flow's configuration on
+//!   the root, a span per placement trial, and *decision events* — the
+//!   individual chain splits, done-signal prunings and skid-buffer
+//!   placements the optimizations perform — and keeps the tree on the
+//!   result. Decision payloads are replayed from data stored in the
+//!   (cached) stage artifacts, so cached and cold runs produce equal
+//!   trees under [`hlsb_trace::TraceTree::normalized`] equality, and
+//!   trial spans are emitted post-hoc in trial order so parallel and
+//!   sequential runs do too.
 //!
 //! Thread budget precedence: [`FlowSession::with_threads`] > the
 //! `HLSB_THREADS` environment variable > [`std::thread::available_parallelism`].
@@ -78,29 +81,25 @@ fn options_label(o: &OptimizationOptions) -> String {
 }
 
 /// Copies stage counters onto the stage span as unsigned attributes, in
-/// counter order, so the [`PassTrace`] derived from the span tree
-/// ([`PassTrace::from_span_tree`]) is identical to the one the
-/// `PassTimer` path builds. Execution/cache-hit/store-hit counts
-/// legitimately differ between cold, cached and disk-warmed runs, so
-/// they are marked volatile: normalized trace equality (the cached ≡
-/// cold guarantee) skips them, while the flat `PassRecord` view still
-/// reports them as counters.
-fn stage_counters(span: &SpanGuard, counters: &[(String, u64)]) {
-    if !span.is_enabled() {
-        return;
-    }
-    for (key, v) in counters {
+/// counter order; [`PassTrace::from_span_tree`] reads them back as the
+/// stage's [`PassRecord`](crate::PassRecord) counters. Execution/cache-hit/
+/// store-hit counts legitimately differ between cold, cached and
+/// disk-warmed runs, so they are marked volatile: normalized trace
+/// equality (the cached ≡ cold guarantee) skips them, while the flat
+/// `PassRecord` view still reports them as counters.
+fn stage_counters(span: &SpanGuard, counters: &[(&str, u64)]) {
+    for &(key, v) in counters {
         if key == "executions" || key == "cache-hits" || key == "store-hits" {
-            span.attr_volatile(key, *v);
+            span.attr_volatile(key, v);
         } else {
-            span.attr(key, *v);
+            span.attr(key, v);
         }
     }
 }
 
-/// Stage-local counters for a `verify.*` pass record: findings found by
+/// Stage-local counters for a `verify.*` stage span: findings found by
 /// this stage plus their severity split.
-fn verify_counters(diags: &[hlsb_findings::Diagnostic]) -> Vec<(String, u64)> {
+fn verify_counters(diags: &[hlsb_findings::Diagnostic]) -> [(&'static str, u64); 3] {
     let errors = diags
         .iter()
         .filter(|d| d.severity == hlsb_findings::Severity::Error)
@@ -109,19 +108,16 @@ fn verify_counters(diags: &[hlsb_findings::Diagnostic]) -> Vec<(String, u64)> {
         .iter()
         .filter(|d| d.severity == hlsb_findings::Severity::Warning)
         .count() as u64;
-    vec![
-        ("findings".to_string(), diags.len() as u64),
-        ("errors".to_string(), errors),
-        ("warnings".to_string(), warnings),
+    [
+        ("findings", diags.len() as u64),
+        ("errors", errors),
+        ("warnings", warnings),
     ]
 }
 
 /// Emits one `verify.finding` event per diagnostic onto the stage span,
 /// in detection order.
 fn verify_events(span: &SpanGuard, diags: &[hlsb_findings::Diagnostic]) {
-    if !span.is_enabled() {
-        return;
-    }
     for d in diags {
         let severity = d.severity.to_string();
         let location = d.location.to_string();
@@ -132,6 +128,15 @@ fn verify_events(span: &SpanGuard, diags: &[hlsb_findings::Diagnostic]) {
             "location" => location.as_str());
         span.count("decisions.verify.finding", 1);
     }
+}
+
+/// Closes the run's root span and derives the flat [`PassTrace`] from its
+/// stage spans. The tree itself is returned only when [`Flow::trace`]
+/// asked for it.
+fn finish_run(tracer: &Tracer, root: SpanGuard, flow: &Flow) -> (PassTrace, Option<TraceTree>) {
+    root.finish();
+    let tree = tracer.take_tree();
+    (PassTrace::from_span_tree(&tree), flow.trace.then_some(tree))
 }
 
 /// The output of [`FlowSession::probe`]: the cheap front half of the
@@ -404,13 +409,16 @@ impl FlowSession {
             .collect()
     }
 
-    /// Opens the root `flow` span for one run and stamps the flow's
-    /// configuration on it. The thread budget is volatile: it changes
-    /// with `HLSB_THREADS` but never the decisions, and normalized trace
+    /// Opens the root `flow` span of one run on a fresh collector. Stage
+    /// spans always record under it: they are the run's only stage timer.
+    /// With [`Flow::trace`] the flow's configuration is stamped on the
+    /// root too. The thread budget is volatile: it changes with
+    /// `HLSB_THREADS` but never the decisions, and normalized trace
     /// equality must hold across thread counts.
-    fn flow_root(&self, tracer: &Tracer, flow: &Flow, mode: &str) -> SpanGuard {
+    fn flow_root(&self, flow: &Flow, mode: &str) -> (Tracer, SpanGuard) {
+        let tracer = Tracer::enabled();
         let root = tracer.root("flow");
-        if root.is_enabled() {
+        if flow.trace {
             root.attr("design", flow.design.name.as_str());
             root.attr("mode", mode);
             root.attr("clock-mhz", flow.clock_mhz);
@@ -422,7 +430,7 @@ impl FlowSession {
             root.attr("inject", flow.inject.label());
             root.attr_volatile("threads", self.threads as u64);
         }
-        root
+        (tracer, root)
     }
 
     /// Simulates one flow variant instead of implementing it: runs the
@@ -454,20 +462,12 @@ impl FlowSession {
             });
         }
         verify_design(&flow.design)?;
-        let tracer = if flow.trace {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
-        let root = self.flow_root(&tracer, flow, "simulate");
-        let mut trace = PassTrace::default();
-        let (front_end, schedule, _lint) =
-            self.stage_front_end_and_schedule(flow, &mut trace, &root)?;
+        let (tracer, root) = self.flow_root(flow, "simulate");
+        let (front_end, schedule, _lint) = self.stage_front_end_and_schedule(flow, &root)?;
         let design = front_end.design(&flow.design);
 
         // Simulate: untimed reference, then the scheduled design cycle by
         // cycle under the flow's control model.
-        let timer = trace.start("simulate");
         let span = root.child("simulate");
         let golden = hlsb_sim::golden_trace(design, &front_end.unrolled, stim, iters_cap);
         let opts = SimOptions {
@@ -483,28 +483,22 @@ impl FlowSession {
         let timed = hlsb_sim::simulate_design(design, &schedule.loops, stim, &opts);
         let stall_cycles: u64 = timed.per_loop.iter().map(|r| r.stall_cycles).sum();
         let gated_cycles: u64 = timed.per_loop.iter().map(|r| r.gated_cycles).sum();
-        let counters = vec![
-            ("cycles".to_string(), timed.cycles),
-            ("stall-cycles".to_string(), stall_cycles),
-            ("gated-cycles".to_string(), gated_cycles),
-            ("values".to_string(), golden.len() as u64),
-            (
-                "trace-match".to_string(),
-                u64::from(timed.trace.diff(&golden).is_none()),
-            ),
-            ("finished".to_string(), u64::from(timed.finished)),
-        ];
-        stage_counters(&span, &counters);
+        stage_counters(
+            &span,
+            &[
+                ("cycles", timed.cycles),
+                ("stall-cycles", stall_cycles),
+                ("gated-cycles", gated_cycles),
+                ("values", golden.len() as u64),
+                (
+                    "trace-match",
+                    u64::from(timed.trace.diff(&golden).is_none()),
+                ),
+                ("finished", u64::from(timed.finished)),
+            ],
+        );
         span.finish();
-        timer.done(&mut trace, counters);
-        let span_tree = if flow.trace {
-            root.finish();
-            let tree = tracer.take_tree();
-            trace = PassTrace::from_span_tree(&tree);
-            Some(tree)
-        } else {
-            None
-        };
+        let (trace, span_tree) = finish_run(&tracer, root, flow);
         Ok(SimulationOutcome {
             golden,
             timed,
@@ -536,28 +530,14 @@ impl FlowSession {
             });
         }
         verify_design(&flow.design)?;
-        let tracer = if flow.trace {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
-        let root = self.flow_root(&tracer, flow, "probe");
-        let mut trace = PassTrace::default();
-        let verify_rep = self.stage_verify_network(flow, &mut trace, &root)?;
-        let (front_end, schedule, lint) =
-            self.stage_front_end_and_schedule(flow, &mut trace, &root)?;
+        let (tracer, root) = self.flow_root(flow, "probe");
+        let verify_rep = self.stage_verify_network(flow, &root)?;
+        let (front_end, schedule, lint) = self.stage_front_end_and_schedule(flow, &root)?;
         let design = front_end.design(&flow.design);
         let verify =
-            self.stage_verify_contracts(verify_rep, design, &schedule, None, &mut trace, &root)?;
+            self.stage_verify_contracts(flow, verify_rep, design, &schedule, None, &root)?;
         let instructions = design.kernels.iter().map(|k| k.inst_count()).sum();
-        let span_tree = if flow.trace {
-            root.finish();
-            let tree = tracer.take_tree();
-            trace = PassTrace::from_span_tree(&tree);
-            Some(tree)
-        } else {
-            None
-        };
+        let (trace, span_tree) = finish_run(&tracer, root, flow);
         Ok(ProbeOutcome {
             schedule_depths: schedule.depths.clone(),
             latency_cycles: schedule.latency_cycles(design.concurrency),
@@ -578,8 +558,8 @@ impl FlowSession {
     /// when the flow enables it. All three entry points therefore address
     /// identical artifacts.
     ///
-    /// Stage spans go under `root`; decision events are replayed from the
-    /// provenance stored in the artifacts
+    /// Stage spans go under `root`; with [`Flow::trace`], decision events
+    /// are replayed from the provenance stored in the artifacts
     /// ([`FrontEndArtifact::loop_info`],
     /// [`ScheduleArtifact::loop_traces`]), so a cache hit emits the same
     /// events as the run that built the artifact.
@@ -595,7 +575,6 @@ impl FlowSession {
     fn stage_front_end_and_schedule(
         &self,
         flow: &Flow,
-        trace: &mut PassTrace,
         root: &SpanGuard,
     ) -> Result<StagedArtifacts, FlowError> {
         let clock_ns = 1000.0 / flow.clock_mhz;
@@ -615,7 +594,6 @@ impl FlowSession {
         }
 
         // Front-end (cached, clock-independent).
-        let timer = trace.start("front-end");
         let span = root.child("front-end");
         let design_hash = cache::hash_debug(&flow.design);
         let fe_key = cache::front_end_key(design_hash, flow.options.sync_pruning);
@@ -652,15 +630,17 @@ impl FlowSession {
             .iter()
             .map(|l| l.dce_removed as u64)
             .sum();
-        let counters = vec![
-            ("executions".to_string(), executions),
-            ("cache-hits".to_string(), hits),
-            ("store-hits".to_string(), store_hits),
-            ("loops-split".to_string(), front_end.loops_split as u64),
-            ("dce-removed".to_string(), dce_removed),
-        ];
-        stage_counters(&span, &counters);
-        if span.is_enabled() {
+        stage_counters(
+            &span,
+            &[
+                ("executions", executions),
+                ("cache-hits", hits),
+                ("store-hits", store_hits),
+                ("loops-split", front_end.loops_split as u64),
+                ("dce-removed", dce_removed),
+            ],
+        );
+        if flow.trace {
             if front_end.loops_split > 0 {
                 hlsb_trace::event!(span, "front-end.split",
                     "loops-split" => front_end.loops_split as u64);
@@ -682,12 +662,10 @@ impl FlowSession {
             }
         }
         span.finish();
-        timer.done(trace, counters);
 
         // Schedule (cached). Keyed by front-end *content*: an identity
         // split shares schedules with the unsplit variants.
         let design = front_end.design(&flow.design);
-        let timer = trace.start("schedule");
         let span = root.child("schedule");
         let device_hash = cache::hash_debug(&flow.device);
         let content_fe_key = if front_end.split_changed() {
@@ -756,17 +734,19 @@ impl FlowSession {
             .iter()
             .map(|lt| lt.residual as u64)
             .sum();
-        let counters = vec![
-            ("executions".to_string(), executions),
-            ("cache-hits".to_string(), hits),
-            ("store-hits".to_string(), store_hits),
-            ("inserted-regs".to_string(), schedule.inserted_regs as u64),
-            ("injected-regs".to_string(), schedule.injected_regs as u64),
-            ("splits".to_string(), splits),
-            ("residual-violations".to_string(), residual),
-        ];
-        stage_counters(&span, &counters);
-        if span.is_enabled() {
+        stage_counters(
+            &span,
+            &[
+                ("executions", executions),
+                ("cache-hits", hits),
+                ("store-hits", store_hits),
+                ("inserted-regs", schedule.inserted_regs as u64),
+                ("injected-regs", schedule.injected_regs as u64),
+                ("splits", splits),
+                ("residual-violations", residual),
+            ],
+        );
+        if flow.trace {
             for lt in &schedule.loop_traces {
                 for s in &lt.splits {
                     hlsb_trace::event!(span, "schedule.split",
@@ -813,7 +793,6 @@ impl FlowSession {
             }
         }
         span.finish();
-        timer.done(trace, counters);
 
         // Injection at a boundary no loop of the design has is a
         // configuration error, not a silent no-op. The verdict lives in
@@ -832,7 +811,6 @@ impl FlowSession {
         // Lint pre-pass: report-only, borrowing the front-end artifacts
         // instead of re-deriving them.
         let lint = lint_inputs.map(|(fe, baseline)| {
-            let timer = trace.start("lint");
             let span = root.child("lint");
             let snapshot = FrontEndSnapshot {
                 loops: fe
@@ -861,13 +839,14 @@ impl FlowSession {
                 },
                 snapshot,
             );
-            let counters = vec![
-                ("front-end-reused".to_string(), 1),
-                ("diagnostics".to_string(), report.diagnostics.len() as u64),
-            ];
-            stage_counters(&span, &counters);
+            stage_counters(
+                &span,
+                &[
+                    ("front-end-reused", 1),
+                    ("diagnostics", report.diagnostics.len() as u64),
+                ],
+            );
             span.finish();
-            timer.done(trace, counters);
             report
         });
 
@@ -883,21 +862,19 @@ impl FlowSession {
     fn stage_verify_network(
         &self,
         flow: &Flow,
-        trace: &mut PassTrace,
         root: &SpanGuard,
     ) -> Result<Option<hlsb_findings::Report>, FlowError> {
         if !flow.verify {
             return Ok(None);
         }
-        let timer = trace.start("verify.network");
         let span = root.child("verify.network");
         let mut rep = hlsb_verify::report(&flow.design.name, &flow.device.name, flow.clock_mhz);
         hlsb_verify::check_network(&flow.design, &mut rep.diagnostics);
-        let counters = verify_counters(&rep.diagnostics);
-        stage_counters(&span, &counters);
-        verify_events(&span, &rep.diagnostics);
+        stage_counters(&span, &verify_counters(&rep.diagnostics));
+        if flow.trace {
+            verify_events(&span, &rep.diagnostics);
+        }
         span.finish();
-        timer.done(trace, counters);
         rep.sort_worst_first();
         if rep.count_at_least(hlsb_findings::Severity::Error) > 0 {
             return Err(FlowError::VerifyRejected {
@@ -915,17 +892,16 @@ impl FlowSession {
     /// back-end stages run.
     fn stage_verify_contracts(
         &self,
+        flow: &Flow,
         rep: Option<hlsb_findings::Report>,
         design: &hlsb_ir::Design,
         schedule: &ScheduleArtifact,
         lower_info: Option<&hlsb_rtlgen::LowerInfo>,
-        trace: &mut PassTrace,
         root: &SpanGuard,
     ) -> Result<Option<hlsb_findings::Report>, FlowError> {
         let Some(mut rep) = rep else {
             return Ok(None);
         };
-        let timer = trace.start("verify.contracts");
         let span = root.child("verify.contracts");
         let before = rep.diagnostics.len();
         let mut contracts = Vec::new();
@@ -953,11 +929,11 @@ impl FlowSession {
         if let Some(info) = lower_info {
             hlsb_verify::check_lower(info, &mut rep.diagnostics);
         }
-        let counters = verify_counters(&rep.diagnostics[before..]);
-        stage_counters(&span, &counters);
-        verify_events(&span, &rep.diagnostics[before..]);
+        stage_counters(&span, &verify_counters(&rep.diagnostics[before..]));
+        if flow.trace {
+            verify_events(&span, &rep.diagnostics[before..]);
+        }
         span.finish();
-        timer.done(trace, counters);
         rep.sort_worst_first();
         if rep.count_at_least(hlsb_findings::Severity::Error) > 0 {
             return Err(FlowError::VerifyRejected {
@@ -1034,20 +1010,12 @@ impl FlowSession {
         // Verification runs per flow, outside the cache: a cache hit must
         // never mask an invalid design.
         verify_design(&flow.design)?;
-        let tracer = if flow.trace {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
-        let root = self.flow_root(&tracer, flow, "implement");
-        let mut trace = PassTrace::default();
-        let verify_rep = self.stage_verify_network(flow, &mut trace, &root)?;
-        let (front_end, schedule, lint) =
-            self.stage_front_end_and_schedule(flow, &mut trace, &root)?;
+        let (tracer, root) = self.flow_root(flow, "implement");
+        let verify_rep = self.stage_verify_network(flow, &root)?;
+        let (front_end, schedule, lint) = self.stage_front_end_and_schedule(flow, &root)?;
         let design = front_end.design(&flow.design);
 
         // Lower: RTL generation + capacity check.
-        let timer = trace.start("lower");
         let span = root.child("lower");
         let lowered = passes::lower::run(
             design,
@@ -1062,16 +1030,15 @@ impl FlowSession {
             .iter()
             .filter(|d| !d.waited)
             .count();
-        let counters = vec![
-            ("cells".to_string(), lowered.netlist.cell_count() as u64),
-            (
-                "skid-cuts".to_string(),
-                lowered.info.skid_decisions.len() as u64,
-            ),
-            ("sync-pruned".to_string(), sync_pruned as u64),
-        ];
-        stage_counters(&span, &counters);
-        if span.is_enabled() {
+        stage_counters(
+            &span,
+            &[
+                ("cells", lowered.netlist.cell_count() as u64),
+                ("skid-cuts", lowered.info.skid_decisions.len() as u64),
+                ("sync-pruned", sync_pruned as u64),
+            ],
+        );
+        if flow.trace {
             for d in &lowered.info.skid_decisions {
                 hlsb_trace::event!(span, "skid.buffer",
                     "loop" => d.looop.as_str(),
@@ -1119,21 +1086,19 @@ impl FlowSession {
             }
         }
         span.finish();
-        timer.done(&mut trace, counters);
 
         // Contract audit, before paying for placement: a broken
         // schedule/lowering contract rejects the flow here.
         let verify = self.stage_verify_contracts(
+            flow,
             verify_rep,
             design,
             &schedule,
             Some(&lowered.info),
-            &mut trace,
             &root,
         )?;
 
         // Implement: multi-seed place/optimize, best timing wins.
-        let timer = trace.start("implement");
         let span = root.child("implement");
         let (imp, trials, winner, partition) = passes::implement::run(
             lowered.netlist,
@@ -1146,22 +1111,18 @@ impl FlowSession {
             &lowered.info.seam_cells,
             &tracer,
         );
-        let mut counters = vec![("trials".to_string(), u64::from(flow.place_seeds.max(1)))];
+        span.attr("trials", u64::from(flow.place_seeds.max(1)));
         if let Some(t) = trials.iter().find(|t| t.idx == winner) {
             // Deterministic (pure function of netlist + seed), so safe to
             // expose as a counter that participates in trace equality.
-            counters.push(("winner-hpwl".to_string(), t.hpwl.round() as u64));
+            span.attr("winner-hpwl", t.hpwl.round() as u64);
         }
         if let Some(p) = &partition {
-            counters.push(("islands".to_string(), u64::from(p.islands)));
-            counters.push((
-                "crossing-registers".to_string(),
-                u64::from(p.crossing_registers),
-            ));
-            counters.push(("cut-nets".to_string(), u64::from(p.cut_nets)));
+            span.attr("islands", u64::from(p.islands));
+            span.attr("crossing-registers", u64::from(p.crossing_registers));
+            span.attr("cut-nets", u64::from(p.cut_nets));
         }
-        stage_counters(&span, &counters);
-        if span.is_enabled() {
+        if flow.trace {
             if let Some(p) = &partition {
                 for (i, (&cells, &(x0, y0, w, h))) in
                     p.island_cells.iter().zip(&p.island_regions).enumerate()
@@ -1205,10 +1166,8 @@ impl FlowSession {
             }
         }
         span.finish();
-        timer.done(&mut trace, counters);
 
         // Sign-off: assemble the result.
-        let timer = trace.start("sign-off");
         let span = root.child("sign-off");
         let partition_summary = partition.map(|p| crate::result::PartitionSummary {
             islands: p.islands,
@@ -1227,23 +1186,9 @@ impl FlowSession {
             lint,
             verify,
         );
-        let counters = vec![(
-            "critical-cells".to_string(),
-            result.critical_cells.len() as u64,
-        )];
-        stage_counters(&span, &counters);
+        span.attr("critical-cells", result.critical_cells.len() as u64);
         span.finish();
-        timer.done(&mut trace, counters);
-        result.trace = trace;
-        if flow.trace {
-            root.finish();
-            let tree = tracer.take_tree();
-            // The flat PassTrace becomes a *view* of the span tree, so the
-            // two layers cannot drift (same counters either way — the
-            // stage spans carry exactly the PassTimer counters).
-            result.trace = PassTrace::from_span_tree(&tree);
-            result.span_tree = Some(tree);
-        }
+        (result.trace, result.span_tree) = finish_run(&tracer, root, flow);
         Ok((result, netlist, placement))
     }
 }

@@ -1,20 +1,20 @@
 //! Pass-level observability: wall time and key counters per stage.
 //!
-//! Every pipeline stage ([`crate::passes`]) appends one [`PassRecord`] to
-//! the run's [`PassTrace`], which lands on
+//! Every pipeline stage ([`crate::passes`]) contributes one [`PassRecord`]
+//! to the run's [`PassTrace`], which lands on
 //! [`ImplementationResult::trace`](crate::ImplementationResult::trace).
 //! This is the flow's flat observability layer: sweeps can report where
 //! the time goes, and tests can assert structural properties such as "the
 //! lint pre-pass reused the front-end instead of re-running it".
 //!
-//! Since the span tracer landed ([`hlsb_trace`]), `PassTrace` is the
-//! *compatibility view*: when tracing is enabled the session derives it
-//! from the span tree via [`PassTrace::from_span_tree`] — each depth-1
-//! stage span becomes one record, its unsigned attributes become the
-//! counters — so the two layers cannot drift apart.
+//! A `PassTrace` is always the flat view of the run's stage spans
+//! ([`hlsb_trace`]): the session records one span per stage whether or
+//! not [`Flow::trace`](crate::Flow::trace) is set, and derives the trace
+//! with [`PassTrace::from_span_tree`] — each depth-1 stage span becomes
+//! one record, its unsigned attributes become the counters. The span is
+//! the stage's only timer, so the two views cannot drift apart.
 
 use std::fmt;
-use std::time::Instant;
 
 /// One executed (or cache-satisfied) pass.
 #[derive(Debug, Clone)]
@@ -46,16 +46,8 @@ pub struct PassTrace {
 }
 
 impl PassTrace {
-    /// Starts timing a pass; finish with [`PassTimer::done`].
-    pub(crate) fn start(&mut self, pass: &str) -> PassTimer {
-        PassTimer {
-            pass: pass.to_string(),
-            t0: Instant::now(),
-        }
-    }
-
-    /// The compatibility view of a span tree: each depth-1 span under the
-    /// root becomes one record (wall time from the span, counters from its
+    /// The flat view of a span tree: each depth-1 span under the root
+    /// becomes one record (wall time from the span, counters from its
     /// unsigned-integer attributes, insertion order preserved).
     pub fn from_span_tree(tree: &hlsb_trace::TraceTree) -> PassTrace {
         let mut trace = PassTrace::default();
@@ -133,23 +125,6 @@ impl fmt::Display for PassTrace {
     }
 }
 
-/// In-flight pass timing, created by [`PassTrace::start`].
-pub(crate) struct PassTimer {
-    pass: String,
-    t0: Instant,
-}
-
-impl PassTimer {
-    /// Stops the clock and appends the record.
-    pub(crate) fn done(self, trace: &mut PassTrace, counters: Vec<(String, u64)>) {
-        trace.records.push(PassRecord {
-            pass: self.pass,
-            wall_ms: self.t0.elapsed().as_secs_f64() * 1e3,
-            counters,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,9 +151,9 @@ mod tests {
 
     #[test]
     fn counter_lookup_and_total() {
-        let mut t = PassTrace::default();
-        let timer = t.start("lower");
-        timer.done(&mut t, vec![("cells".to_string(), 42)]);
+        let t = PassTrace {
+            records: vec![rec("lower", 0.5, vec![("cells", 42)])],
+        };
         assert_eq!(t.counter("lower", "cells"), Some(42));
         assert_eq!(t.counter("lower", "nope"), None);
         assert_eq!(t.counter("nope", "cells"), None);

@@ -375,7 +375,7 @@ impl<'a> FmaxExplorer<'a> {
                             }
                         }
                     };
-                    span.attr("kind", kind_name(kind));
+                    span.attr("kind", kind.name());
                     span.attr("met", met);
                     span.attr("fmax-mhz", fmax_mhz);
                     if let Err(e) = log.insert(TrialRecord {
@@ -497,12 +497,5 @@ impl<'a> FmaxExplorer<'a> {
     /// trial records after a run).
     pub fn take_log(&mut self) -> FreqLog {
         std::mem::take(&mut self.log)
-    }
-}
-
-fn kind_name(kind: TrialKind) -> &'static str {
-    match kind {
-        TrialKind::Full => "full",
-        TrialKind::Probe => "probe",
     }
 }

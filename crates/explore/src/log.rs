@@ -29,7 +29,8 @@ pub enum TrialKind {
 }
 
 impl TrialKind {
-    fn name(self) -> &'static str {
+    /// The kind's spelling in the frequency log and on trial spans.
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TrialKind::Full => "full",
             TrialKind::Probe => "probe",

@@ -1,8 +1,10 @@
 //! Self-time profiling over [`TraceTree`] span trees.
 //!
 //! A span's *total* time is its own duration; its *self* time is that
-//! duration minus the duration of its children — the time genuinely
-//! spent at that level rather than delegated. Aggregating by span path
+//! duration minus the time covered by its children — the time genuinely
+//! spent at that level rather than delegated. Children that run in
+//! parallel (placement trials) overlap, so the covered time is the union
+//! of their windows, not the sum. Aggregating by span path
 //! (`flow/implement/trial-0`) across one or many trees turns raw traces
 //! into the classic profiler questions: where does the wall clock go,
 //! and which stage actually burns it.
@@ -13,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use hlsb_trace::TraceTree;
+use hlsb_trace::{SpanNode, TraceTree};
 
 /// Aggregated timing for one span path.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,8 +26,11 @@ pub struct ProfileRow {
     pub count: u64,
     /// Total wall time of those spans, milliseconds.
     pub total_ms: f64,
-    /// Self wall time (total minus child time, clamped at 0),
-    /// milliseconds.
+    /// Self wall time, milliseconds: the span's duration minus the union
+    /// of its children's windows, each clipped to the span's own window.
+    /// Overlapping (parallel) children count once, so this is never
+    /// negative and a parent whose children overlap keeps the time they
+    /// do not cover.
     pub self_ms: f64,
 }
 
@@ -35,8 +40,7 @@ pub fn self_time(trees: &[&TraceTree]) -> Vec<ProfileRow> {
     let mut by_path: BTreeMap<String, ProfileRow> = BTreeMap::new();
     for tree in trees {
         for span in &tree.spans {
-            let child_us: f64 = tree.children(span.id).map(|c| c.dur_us).sum();
-            let self_us = (span.dur_us - child_us).max(0.0);
+            let self_us = span.dur_us - covered_us(tree, span);
             let path = tree.path(span.id);
             let row = by_path.entry(path.clone()).or_insert(ProfileRow {
                 path,
@@ -56,6 +60,26 @@ pub fn self_time(trees: &[&TraceTree]) -> Vec<ProfileRow> {
             .then_with(|| a.path.cmp(&b.path))
     });
     rows
+}
+
+/// Length of the union of `parent`'s child windows, each clipped to the
+/// parent's own window.
+fn covered_us(tree: &TraceTree, parent: &SpanNode) -> f64 {
+    let (start, end) = (parent.start_us, parent.start_us + parent.dur_us);
+    let mut windows: Vec<(f64, f64)> = tree
+        .children(parent.id)
+        .map(|c| (c.start_us.max(start), (c.start_us + c.dur_us).min(end)))
+        .filter(|(s, e)| e > s)
+        .collect();
+    windows.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (mut covered, mut reach) = (0.0, start);
+    for (s, e) in windows {
+        if e > reach {
+            covered += e - s.max(reach);
+            reach = e;
+        }
+    }
+    covered
 }
 
 /// Renders profile rows as an aligned table (self-time descending, with
@@ -178,6 +202,25 @@ mod tests {
         let mut sorted = lines.clone();
         sorted.sort();
         assert_eq!(lines, sorted);
+    }
+
+    #[test]
+    fn self_time_subtracts_the_union_of_overlapping_children() {
+        // Two parallel trials, [0, 600] and [100, 700] us, inside a
+        // [0, 1000] us implement: together they cover [0, 700].
+        let tracer = Tracer::enabled();
+        let root = tracer.root("flow");
+        {
+            let imp = root.child("implement");
+            imp.child("trial-0").set_window(0.0, 600.0);
+            imp.child("trial-1").set_window(100.0, 600.0);
+            imp.set_window(0.0, 1000.0);
+        }
+        root.set_window(0.0, 1000.0);
+        let t = tracer.take_tree();
+        let rows = self_time(&[&t]);
+        let imp = rows.iter().find(|r| r.path == "flow/implement").unwrap();
+        assert!((imp.self_ms - 0.3).abs() < 1e-9, "{}", imp.self_ms);
     }
 
     #[test]

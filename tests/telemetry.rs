@@ -153,6 +153,19 @@ fn ledger_and_tracing_leave_flow_results_bit_identical() {
         "stage timings recorded: {:?}",
         rec.stages
     );
+
+    // An untraced run records the same stages: they come from the stage
+    // spans, which do not depend on tracing.
+    let plain_ledger = Arc::new(RunLedger::in_memory());
+    FlowSession::new()
+        .with_ledger(plain_ledger.clone())
+        .run(&flow(false))
+        .expect("plain flow succeeds");
+    let plain_records = plain_ledger.records();
+    assert_eq!(plain_records.len(), 1);
+    let stage_names =
+        |r: &hlsb_telemetry::RunRecord| r.stages.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(stage_names(&plain_records[0]), stage_names(rec));
 }
 
 #[test]

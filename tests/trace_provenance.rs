@@ -3,7 +3,8 @@
 //! events, the metrics registry fills, and tracing never perturbs the
 //! untraced result.
 
-use hlsb::{Flow, OptimizationOptions, PlaceEffort};
+use hlsb::sim::Stimulus;
+use hlsb::{Flow, FlowSession, OptimizationOptions, PassTrace, PlaceEffort};
 use hlsb_benchmarks::Benchmark;
 use hlsb_fabric::Device;
 use hlsb_ir::builder::DesignBuilder;
@@ -165,4 +166,60 @@ fn tracing_does_not_perturb_the_result() {
         "disabled tracing stores no tree"
     );
     assert!(traced.trace_tree().is_some());
+
+    // Probe and simulate derive their PassTrace from the stage spans too.
+    // Each run gets a fresh session, so cache counters match across the
+    // traced and untraced runs.
+    let full = |trace: bool| {
+        traced_flow(&bench, OptimizationOptions::all())
+            .verify(true)
+            .lint(true)
+            .trace(trace)
+    };
+    let probe = |trace: bool| {
+        FlowSession::new()
+            .probe(&full(trace))
+            .expect("probe succeeds")
+    };
+    let (probe_traced, probe_plain) = (probe(true), probe(false));
+    assert_eq!(probe_traced.schedule_depths, probe_plain.schedule_depths);
+    assert_eq!(probe_traced.latency_cycles, probe_plain.latency_cycles);
+    assert_eq!(probe_traced.inserted_regs, probe_plain.inserted_regs);
+    assert_eq!(probe_traced.instructions, probe_plain.instructions);
+    assert_eq!(probe_traced.lint, probe_plain.lint);
+    assert_eq!(probe_traced.verify, probe_plain.verify);
+    let stim = Stimulus::seeded(&bench.design, 1, 16);
+    let simulate = |trace: bool| {
+        FlowSession::new()
+            .simulate(&full(trace), &stim, 16)
+            .expect("simulation succeeds")
+    };
+    let (sim_traced, sim_plain) = (simulate(true), simulate(false));
+    assert_eq!(sim_traced.golden, sim_plain.golden);
+    assert_eq!(sim_traced.timed, sim_plain.timed);
+
+    let mut seen = Vec::new();
+    for (traced, plain) in [
+        (&probe_traced.trace, &probe_plain.trace),
+        (&sim_traced.trace, &sim_plain.trace),
+    ] {
+        let names = |t: &PassTrace| t.records.iter().map(|r| r.pass.clone()).collect::<Vec<_>>();
+        assert_eq!(names(traced), names(plain), "same passes in the same order");
+        assert_eq!(traced, plain, "same counters per pass");
+        seen.extend(names(plain));
+    }
+    for stage in [
+        "verify.network",
+        "front-end",
+        "schedule",
+        "lint",
+        "verify.contracts",
+        "simulate",
+    ] {
+        assert!(seen.iter().any(|s| s == stage), "{stage} missing: {seen:?}");
+    }
+    assert!(probe_plain.trace_tree().is_none());
+    assert!(sim_plain.trace_tree().is_none());
+    assert!(probe_traced.trace_tree().is_some());
+    assert!(sim_traced.trace_tree().is_some());
 }

@@ -11,13 +11,14 @@ use hlsb_rtlgen::{lower_design, RtlOptions, ScheduledDesign, ScheduledLoop};
 use hlsb_sched::schedule_loop;
 use hlsb_timing::{optimize_fanout, refine_critical, sta, FanoutOptions, RefineOptions};
 
-/// One register driving `fanout` sinks: the shape of vector_product's
-/// 2088-sink broadcast, whose sinks all seed into one column.
-fn broadcast(fanout: usize) -> Netlist {
+/// One register driving `fanout` sinks built by `sink`: the shape of
+/// vector_product's 2088-sink broadcast, whose sinks all seed into one
+/// column.
+fn broadcast(fanout: usize, sink: fn(String) -> Cell) -> Netlist {
     let mut nl = Netlist::new("broadcast");
     let src = nl.add_cell(Cell::ff("src", 32));
     let sinks: Vec<_> = (0..fanout)
-        .map(|i| nl.add_cell(Cell::comb(format!("s{i}"), 32, 0.4, 32)))
+        .map(|i| nl.add_cell(sink(format!("s{i}"))))
         .collect();
     nl.connect(src, &sinks);
     nl
@@ -81,7 +82,7 @@ fn main() {
         batches: 1,
         ..fast
     };
-    let bcast = broadcast(2048);
+    let bcast = broadcast(2048, |name| Cell::comb(name, 32, 0.4, 32));
     time_it("seed_place_broadcast2048", 10, || {
         place_with(&bcast, &device, 7, seed_only)
     });
@@ -91,6 +92,14 @@ fn main() {
     time_it("refine_stencil2", 10, || {
         let mut p = placement.clone();
         refine_critical(&netlist, &mut p, &wire, RefineOptions::default())
+    });
+    // Every sink captures, so one net holds 2048 capture arcs: the
+    // shape where refinement's per-net capture maxima matter.
+    let ff_bcast = broadcast(2048, |name| Cell::ff(name, 32));
+    let ff_placement = place_with(&ff_bcast, &device, 7, fast);
+    time_it("refine_broadcast2048", 10, || {
+        let mut p = ff_placement.clone();
+        refine_critical(&ff_bcast, &mut p, &wire, RefineOptions::default())
     });
     time_it("fanout_opt_stencil2", 10, || {
         let mut nl = netlist.clone();

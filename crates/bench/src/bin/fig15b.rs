@@ -50,6 +50,6 @@ fn main() {
     }
     println!("\nexpected shape: the gap widens as the broadcast factor grows");
     println!("(paper anchor: 264 -> 341 MHz at unroll 64)");
-    println!();
-    println!("{}", pass_summary(&results, &session));
+    // Timings go to stderr so that stdout is a pure function of the flow.
+    eprintln!("{}", pass_summary(&results, &session));
 }

@@ -54,6 +54,6 @@ fn main() {
          optimization helps but saturates; data + control stays high\n\
          (paper: both needed for scalable performance, §5.5)."
     );
-    println!();
-    println!("{}", pass_summary(&results, &session));
+    // Timings go to stderr so that stdout is a pure function of the flow.
+    eprintln!("{}", pass_summary(&results, &session));
 }

@@ -63,7 +63,7 @@ fn main() {
     let avg = gains.iter().sum::<f64>() / gains.len() as f64;
     println!("{:-<134}", "");
     println!("average frequency gain: {avg:+.0}%  (paper: +53%)");
-    println!();
-    println!("{}", pass_summary(&results, &session));
-    println!("wall time: {wall:.1} s");
+    // Timings go to stderr so that stdout is a pure function of the flow.
+    eprintln!("{}", pass_summary(&results, &session));
+    eprintln!("wall time: {wall:.1} s");
 }

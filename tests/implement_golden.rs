@@ -1,6 +1,8 @@
-//! Golden results of the implement stage: the nine paper benchmarks ×
+//! Golden results of the implement stage, each reduced to one FNV-1a
+//! hash of its timing-visible outcome: the nine paper benchmarks ×
 //! {none, all} × {flat, two islands} at Fast effort with two placement
-//! seeds, each reduced to one FNV-1a hash of its timing-visible outcome.
+//! seeds, and the nine benchmarks × {none, all} at the paper settings
+//! (Normal effort, three placement seeds, flat).
 //!
 //! The placer and the timing engine are optimized for speed under a
 //! bit-identity contract: a faster seed search, a different occupancy
@@ -53,6 +55,29 @@ const GOLDEN: &[(&str, &str, &str, u64)] = &[
     ("pattern_match", "all", "fixed2", 0x2b267d76476dfe76),
 ];
 
+/// `(design, options, hash)` at the paper settings: Normal effort, three
+/// placement seeds, flat.
+const GOLDEN_NORMAL: &[(&str, &str, u64)] = &[
+    ("genome_chaining", "none", 0xecae451acb2ab4b9),
+    ("genome_chaining", "all", 0x9226b69f15fc3685),
+    ("lstm_gate", "none", 0x004213cbd753b56f),
+    ("lstm_gate", "all", 0x0fe4fc4284bb9905),
+    ("face_detect", "none", 0x8f4dfed236fd2826),
+    ("face_detect", "all", 0x68f726725abaf05e),
+    ("matmul", "none", 0xdd56f9f8def0d0e7),
+    ("matmul", "all", 0xf983d51568ff3e8c),
+    ("stream_buffer", "none", 0xafb18ab104313124),
+    ("stream_buffer", "all", 0xb01f969b39cc1e52),
+    ("jacobi_pipeline", "none", 0x1510af4d300b31c6),
+    ("jacobi_pipeline", "all", 0x029ae648079a94f3),
+    ("vector_product", "none", 0xb3453818419a2ca2),
+    ("vector_product", "all", 0x1e11244cb5b4adee),
+    ("hbm_stencil_scatter", "none", 0xa4eca9bdc539a633),
+    ("hbm_stencil_scatter", "all", 0x5be28671b1092da4),
+    ("pattern_match", "none", 0xa240d5f36a69b56b),
+    ("pattern_match", "all", 0x5e594267ade92c99),
+];
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -78,12 +103,24 @@ fn result_hash(r: &hlsb::ImplementationResult) -> u64 {
     fnv1a(form.as_bytes())
 }
 
-#[test]
-fn implement_results_match_golden_hashes() {
-    let options = [
+fn options() -> [(&'static str, OptimizationOptions); 2] {
+    [
         ("none", OptimizationOptions::none()),
         ("all", OptimizationOptions::all()),
-    ];
+    ]
+}
+
+/// Runs `flows` on one session and hashes each result.
+fn result_hashes(flows: &[Flow]) -> Vec<u64> {
+    FlowSession::new()
+        .run_many(flows)
+        .iter()
+        .map(|result| result_hash(result.as_ref().expect("flow succeeds")))
+        .collect()
+}
+
+#[test]
+fn implement_results_match_golden_hashes() {
     let partitions = [
         ("off", Partitioning::Off),
         ("fixed2", Partitioning::Fixed(2)),
@@ -91,7 +128,7 @@ fn implement_results_match_golden_hashes() {
     let mut labels = Vec::new();
     let mut flows = Vec::new();
     for bench in hlsb_benchmarks::all_benchmarks() {
-        for (opt_label, opts) in options {
+        for (opt_label, opts) in options() {
             for (part_label, part) in partitions {
                 labels.push((bench.design.name.clone(), opt_label, part_label));
                 flows.push(
@@ -107,12 +144,11 @@ fn implement_results_match_golden_hashes() {
             }
         }
     }
-    let results = FlowSession::new().run_many(&flows);
-    let mut actual = Vec::new();
-    for ((design, opt, part), result) in labels.iter().zip(&results) {
-        let r = result.as_ref().expect("flow succeeds");
-        actual.push((design.as_str(), *opt, *part, result_hash(r)));
-    }
+    let actual: Vec<_> = labels
+        .iter()
+        .zip(result_hashes(&flows))
+        .map(|((design, opt, part), h)| (design.as_str(), *opt, *part, h))
+        .collect();
     let table: String = actual
         .iter()
         .map(|(d, o, p, h)| format!("    ({d:?}, {o:?}, {p:?}, {h:#018x}),\n"))
@@ -121,5 +157,40 @@ fn implement_results_match_golden_hashes() {
     assert_eq!(
         actual, GOLDEN,
         "implement results drifted; actual table:\n{table}"
+    );
+}
+
+#[test]
+fn normal_effort_results_match_golden_hashes() {
+    let mut labels = Vec::new();
+    let mut flows = Vec::new();
+    for bench in hlsb_benchmarks::all_benchmarks() {
+        for (opt_label, opts) in options() {
+            labels.push((bench.design.name.clone(), opt_label));
+            flows.push(
+                Flow::new(bench.design.clone())
+                    .device(bench.device.clone())
+                    .clock_mhz(bench.clock_mhz)
+                    .options(opts)
+                    .place_effort(PlaceEffort::Normal)
+                    .place_seeds(3)
+                    .seed(SEED)
+                    .partitions(Partitioning::Off),
+            );
+        }
+    }
+    let actual: Vec<_> = labels
+        .iter()
+        .zip(result_hashes(&flows))
+        .map(|((design, opt), h)| (design.as_str(), *opt, h))
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(d, o, h)| format!("    ({d:?}, {o:?}, {h:#018x}),\n"))
+        .collect();
+    assert_eq!(actual.len(), 18, "nine benchmarks x 2 options");
+    assert_eq!(
+        actual, GOLDEN_NORMAL,
+        "Normal-effort implement results drifted; actual table:\n{table}"
     );
 }

@@ -1,7 +1,12 @@
 //! Session-level performance: what artifact reuse and parallel execution
 //! buy on a Table-1-shaped sweep (several benchmarks × two option sets).
 //!
-//! Three configurations over the same flow list:
+//! First, the cost of one content key: `config_key_<design>` times
+//! `Flow::config_key` on a flow whose design was never hashed (a fresh
+//! flow per iteration), for the largest Table-1 design and a small
+//! fuzzed one. The design's `Debug` form dominates it.
+//!
+//! Then three configurations over the same flow list:
 //!
 //! * **cold** — a fresh single-threaded session per iteration (every
 //!   artifact built from scratch; the pre-session behaviour);
@@ -16,7 +21,10 @@
 
 use hlsb::{Flow, FlowSession, OptimizationOptions, PlaceEffort};
 use hlsb_bench::{benchmark_flow, time_it};
-use hlsb_benchmarks::all_benchmarks;
+use hlsb_benchmarks::{all_benchmarks, pattern_match};
+use hlsb_fabric::Device;
+use hlsb_ir::Design;
+use hlsb_sim::fuzz::random_design;
 
 /// Table-1-shaped flow list, sized for bench iteration: the small/medium
 /// benchmarks, orig + opt each, fast effort, one placement seed.
@@ -39,8 +47,25 @@ fn sweep_flows() -> Vec<Flow> {
     flows
 }
 
+/// Times the first `config_key` of a fresh flow of `design`: every
+/// iteration takes its own flow, built before timing starts, so only
+/// the hashing is timed.
+fn time_config_key(design: &Design, device: &Device) {
+    const ITERS: u32 = 20;
+    let mut fresh: Vec<Flow> = (0..=ITERS)
+        .map(|_| Flow::new(design.clone()).device(device.clone()))
+        .collect();
+    time_it(&format!("config_key_{}", design.name), ITERS, || {
+        fresh.pop().expect("one flow per iteration").config_key()
+    });
+}
+
 fn main() {
     println!("session");
+    let pattern = pattern_match::benchmark();
+    time_config_key(&pattern.design, &pattern.device);
+    time_config_key(&random_design(0), &Device::ultrascale_plus_vu9p());
+
     let flows = sweep_flows();
     println!(
         "sweep: {} flows, host threads {}",

@@ -15,6 +15,9 @@
 //! Chrome trace-event JSON (one process per clock target; load in
 //! Perfetto or `chrome://tracing`).
 //!
+//! Stdout holds only the sweep table (and the trace notice), so two runs
+//! print the same bytes; pass totals and cache counts go to stderr.
+//!
 //! Exit status is 2 on usage errors (an unknown benchmark, level or flag
 //! included), 1 if the trace cannot be written, 0 otherwise; `--help`
 //! prints the usage and exits 0.
@@ -79,8 +82,7 @@ fn main() {
             r.inserted_regs
         );
     }
-    println!();
-    println!("{}", pass_summary(&results, &session));
+    eprintln!("{}", pass_summary(&results, &session));
 
     if let Some(path) = trace_out {
         let runs: Vec<(&str, &hlsb::TraceTree)> = labels

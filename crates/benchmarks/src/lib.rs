@@ -47,19 +47,51 @@ pub struct Benchmark {
     pub clock_mhz: f64,
 }
 
+/// One benchmark by name: `(display name, design name, preset)`. Both
+/// names are known without building the design.
+type Entry = (&'static str, &'static str, fn() -> Benchmark);
+
+/// The nine Table-1 benchmarks, in table order.
+const TABLE1: [Entry; 9] = [
+    ("Genome Sequencing", "genome_chaining", genome::benchmark),
+    ("LSTM Network", "lstm_gate", lstm::benchmark),
+    ("Face Detection", "face_detect", face_detect::benchmark),
+    ("Matrix Multiply", "matmul", matmul::benchmark),
+    ("Stream Buffer", "stream_buffer", stream_buffer::benchmark),
+    ("Stencil", "jacobi_pipeline", stencil::benchmark),
+    (
+        "Vector Arithmetic",
+        "vector_product",
+        vector_arith::benchmark,
+    ),
+    (
+        "HBM-Based Stencil",
+        "hbm_stencil_scatter",
+        hbm_stencil::benchmark,
+    ),
+    (
+        "Pattern Matching",
+        "pattern_match",
+        pattern_match::benchmark,
+    ),
+];
+
+/// The synthetic designs of [`synthetic_benchmarks`].
+const SYNTHETIC: [Entry; 1] = [("dot-scale 512", "dot_scale", dot_scale)];
+
+fn dot_scale() -> Benchmark {
+    Benchmark {
+        name: "dot-scale 512",
+        broadcast_type: "Pipe. Ctrl.",
+        design: vector_arith::dot_scale_pipeline(512),
+        device: Device::ultrascale_plus_vu9p(),
+        clock_mhz: 333.0,
+    }
+}
+
 /// All nine Table-1 benchmarks with the paper's parameters.
 pub fn all_benchmarks() -> Vec<Benchmark> {
-    vec![
-        genome::benchmark(),
-        lstm::benchmark(),
-        face_detect::benchmark(),
-        matmul::benchmark(),
-        stream_buffer::benchmark(),
-        stencil::benchmark(),
-        vector_arith::benchmark(),
-        hbm_stencil::benchmark(),
-        pattern_match::benchmark(),
-    ]
+    TABLE1.iter().map(|(_, _, build)| build()).collect()
 }
 
 /// Synthetic designs the diagnostic tools (`explain`, `trace`, sweeps)
@@ -67,32 +99,29 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
 /// Table-1 set — parameterized structures the paper analyzes but does
 /// not benchmark as a whole application.
 pub fn synthetic_benchmarks() -> Vec<Benchmark> {
-    vec![Benchmark {
-        name: "dot-scale 512",
-        broadcast_type: "Pipe. Ctrl.",
-        design: vector_arith::dot_scale_pipeline(512),
-        device: Device::ultrascale_plus_vu9p(),
-        clock_mhz: 333.0,
-    }]
+    SYNTHETIC.iter().map(|(_, _, build)| build()).collect()
+}
+
+/// Lowercase alphanumerics only: the form names are matched in.
+fn norm(s: &str) -> String {
+    s.chars()
+        .filter(char::is_ascii_alphanumeric)
+        .map(|c| c.to_ascii_lowercase())
+        .collect()
 }
 
 /// Resolves a benchmark by case-insensitive substring over the Table-1
 /// set plus [`synthetic_benchmarks`]. Non-alphanumerics are ignored on
 /// both sides, so `dotscale` matches "dot-scale 512" and `vector`
-/// matches "Vector Product". Both the display name and the design name
-/// are searched.
+/// matches "Vector Arithmetic". Both the display name and the design name
+/// are searched, and only the first match is built.
 pub fn find_benchmark(pattern: &str) -> Option<Benchmark> {
-    fn norm(s: &str) -> String {
-        s.chars()
-            .filter(char::is_ascii_alphanumeric)
-            .map(|c| c.to_ascii_lowercase())
-            .collect()
-    }
     let needle = norm(pattern);
-    all_benchmarks()
-        .into_iter()
-        .chain(synthetic_benchmarks())
-        .find(|b| norm(b.name).contains(&needle) || norm(&b.design.name).contains(&needle))
+    TABLE1
+        .iter()
+        .chain(&SYNTHETIC)
+        .find(|(name, design, _)| norm(name).contains(&needle) || norm(design).contains(&needle))
+        .map(|(_, _, build)| build())
 }
 
 #[cfg(test)]
@@ -108,6 +137,47 @@ mod tests {
             verify_design(&b.design).unwrap_or_else(|e| panic!("{}: {e}", b.name));
             assert!(b.clock_mhz > 100.0);
             assert!(b.design.inst_count() > 0, "{} is empty", b.name);
+        }
+    }
+
+    #[test]
+    fn catalog_names_match_the_built_benchmarks() {
+        for (name, design, build) in TABLE1.iter().chain(&SYNTHETIC) {
+            let b = build();
+            assert_eq!((b.name, b.design.name.as_str()), (*name, *design));
+        }
+    }
+
+    #[test]
+    fn find_resolves_like_a_scan_of_every_built_benchmark() {
+        // The reference resolver builds everything and scans the built
+        // names. Every substring of every display and design name (and a
+        // few misses) must resolve to an equal benchmark either way.
+        let built: Vec<Benchmark> = all_benchmarks()
+            .into_iter()
+            .chain(synthetic_benchmarks())
+            .collect();
+        let reference = |pattern: &str| {
+            let needle = norm(pattern);
+            built
+                .iter()
+                .find(|b| norm(b.name).contains(&needle) || norm(&b.design.name).contains(&needle))
+        };
+        let mut patterns = vec!["nope".to_string(), "genome!!".to_string(), String::new()];
+        for b in &built {
+            for name in [b.name, b.design.name.as_str()] {
+                let chars: Vec<char> = name.chars().collect();
+                for i in 0..chars.len() {
+                    for j in i + 1..=chars.len() {
+                        patterns.push(chars[i..j].iter().collect());
+                    }
+                }
+            }
+        }
+        for pattern in &patterns {
+            let want = reference(pattern).map(|b| format!("{b:?}"));
+            let got = find_benchmark(pattern).map(|b| format!("{b:?}"));
+            assert_eq!(got, want, "pattern {pattern:?}");
         }
     }
 

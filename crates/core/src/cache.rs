@@ -20,41 +20,13 @@
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hlsb_store::{ArtifactBackend, StageKind};
 
 use crate::passes::{FrontEndArtifact, ScheduleArtifact};
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Content hash of any `Debug` value. The IR types all derive `Debug`
-/// with full field coverage, so the debug rendering is a faithful (if
-/// verbose) serialization — good enough for cache identity, where a
-/// spurious miss only costs a rebuild.
-pub(crate) fn hash_debug<T: Debug + ?Sized>(value: &T) -> u64 {
-    fnv1a(format!("{value:?}").as_bytes())
-}
-
-/// Order-dependent combination of key components.
-pub(crate) fn combine(parts: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &p in parts {
-        for b in p.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
+pub(crate) use hlsb_store::{combine, hash_debug};
 
 /// Front-end stage key: `(design, split?)`.
 pub(crate) fn front_end_key(design_hash: u64, split: bool) -> u64 {
@@ -154,9 +126,13 @@ impl StageCacheStats {
     }
 }
 
+/// One key's artifact: empty while its first requester builds it, so
+/// every later requester waits on the slot instead of building again.
+type Slot<T> = Arc<OnceLock<Arc<T>>>;
+
 /// One stage's keyed artifact store.
 struct StageCache<T> {
-    map: Mutex<HashMap<u64, Arc<T>>>,
+    map: Mutex<HashMap<u64, Slot<T>>>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -174,11 +150,11 @@ impl<T> Default for StageCache<T> {
 }
 
 impl<T: Debug> StageCache<T> {
-    /// Returns the artifact for `key`, building it on a miss. The lock is
-    /// dropped while `build` runs so concurrent flows only serialize on
-    /// the map, not on the work; if two flows race on one key, the first
-    /// insert wins (builds are deterministic per key, so either is
-    /// correct).
+    /// Returns the artifact for `key`, building it on a miss. The map
+    /// lock is held only to find or insert the key's slot, so flows of
+    /// different keys build concurrently; flows racing on one key wait
+    /// for its first requester's build and count as memory hits, so each
+    /// key is built once per session whatever the thread count.
     ///
     /// With a persistent `backend`, an in-memory miss consults the store
     /// after the rebuild: a matching stored fingerprint classifies the
@@ -196,43 +172,54 @@ impl<T: Debug> StageCache<T> {
         backend: Option<&dyn ArtifactBackend>,
         build: impl FnOnce() -> T,
     ) -> (Arc<T>, CacheHit) {
-        if let Some(found) = self.map.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(found), CacheHit::Memory);
-        }
-        let started = std::time::Instant::now();
-        let built = Arc::new(build());
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let hit = match backend {
-            Some(store) => {
-                let fingerprint = hash_debug(&*built);
-                match store.lookup(stage, key) {
-                    Some(stored) if stored == fingerprint => {
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        CacheHit::Disk
-                    }
-                    _ => {
-                        store.publish(stage, key, fingerprint, wall_ms);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        CacheHit::Miss
-                    }
-                }
-            }
+        let slot = Arc::clone(self.map.lock().unwrap().entry(key).or_default());
+        let mut build_ms = None;
+        let artifact = Arc::clone(slot.get_or_init(|| {
+            let started = std::time::Instant::now();
+            let built = Arc::new(build());
+            build_ms = Some(started.elapsed().as_secs_f64() * 1e3);
+            built
+        }));
+        let hit = match build_ms {
+            Some(wall_ms) => self.classify(&artifact, key, stage, backend, wall_ms),
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                CacheHit::Miss
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                CacheHit::Memory
             }
         };
-        let mut map = self.map.lock().unwrap();
-        let kept = Arc::clone(map.entry(key).or_insert(built));
-        (kept, hit)
+        (artifact, hit)
+    }
+
+    /// Counts a fresh build as a disk hit or a miss, publishing its
+    /// fingerprint unless the store already holds the same one.
+    fn classify(
+        &self,
+        built: &T,
+        key: u64,
+        stage: StageKind,
+        backend: Option<&dyn ArtifactBackend>,
+        wall_ms: f64,
+    ) -> CacheHit {
+        if let Some(store) = backend {
+            let fingerprint = hash_debug(built);
+            if store.lookup(stage, key) == Some(fingerprint) {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return CacheHit::Disk;
+            }
+            store.publish(stage, key, fingerprint, wall_ms);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        CacheHit::Miss
     }
 
     /// Inserts an already-built artifact under an extra key (no stats) —
     /// used when one build is known valid for two keys, e.g. an identity
-    /// dataflow split equals the unsplit front-end.
+    /// dataflow split equals the unsplit front-end. A key that already
+    /// holds (or is building) its artifact keeps it: builds are
+    /// deterministic per key, so either is correct.
     fn seed(&self, key: u64, artifact: Arc<T>) {
-        self.map.lock().unwrap().entry(key).or_insert(artifact);
+        let slot = Arc::clone(self.map.lock().unwrap().entry(key).or_default());
+        let _ = slot.set(artifact);
     }
 }
 
@@ -404,6 +391,37 @@ mod tests {
     }
 
     #[test]
+    fn a_latecomer_waits_for_the_build_in_flight() {
+        // The second request arrives while the first is still building
+        // (forced by the channel): it must not build, and it counts as a
+        // memory hit once the first build lands.
+        let cache: StageCache<u32> = StageCache::default();
+        let cache = &cache;
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (first, late) = std::thread::scope(|s| {
+            let first = s.spawn(move || {
+                cache.get_or_build(1, StageKind::FrontEnd, None, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    42
+                })
+            });
+            started_rx.recv().unwrap();
+            let late = s.spawn(move || {
+                cache.get_or_build(1, StageKind::FrontEnd, None, || {
+                    unreachable!("a latecomer must not build")
+                })
+            });
+            release_tx.send(()).unwrap();
+            (first.join().unwrap(), late.join().unwrap())
+        });
+        assert_eq!((*first.0, first.1), (42, CacheHit::Miss));
+        assert_eq!((*late.0, late.1), (42, CacheHit::Memory));
+        assert!(Arc::ptr_eq(&first.0, &late.0), "one artifact for one key");
+    }
+
+    #[test]
     fn per_stage_stats_split_hits_by_stage() {
         let cache = ArtifactCache::default();
         let design = hlsb_sim::random_design(3);
@@ -461,5 +479,45 @@ mod tests {
         let mut cache4 = ArtifactCache::default();
         cache4.set_backend(store as Arc<dyn ArtifactBackend>);
         assert_eq!(cache4.front_end(1, fe).1, CacheHit::Disk);
+    }
+
+    #[test]
+    fn racing_flows_of_one_design_build_each_key_once() {
+        // The seven clock targets of a stream-buffer sweep share one
+        // front end. Run at two threads, a flow that asks for it while
+        // another is building it must wait and count as a hit, so every
+        // repetition reads the sequential per-stage counts (one
+        // front-end miss, six hits, seven schedule misses).
+        let bench = hlsb_benchmarks::stream_buffer::benchmark();
+        let flows: Vec<crate::Flow> = [150.0, 200.0, 250.0, 300.0, 333.0, 400.0, 500.0]
+            .iter()
+            .map(|&mhz| {
+                crate::Flow::new(bench.design.clone())
+                    .device(bench.device.clone())
+                    .clock_mhz(mhz)
+                    .options(crate::OptimizationOptions::all())
+                    .place_effort(crate::PlaceEffort::Fast)
+                    .place_seeds(1)
+            })
+            .collect();
+        let counts = |threads: usize| {
+            let session = crate::FlowSession::with_threads(threads);
+            for r in session.run_many(&flows) {
+                r.expect("flow succeeds");
+            }
+            session.cache_stats_by_stage()
+        };
+        let sequential = counts(1);
+        assert_eq!(
+            (sequential.front_end.hits, sequential.front_end.misses),
+            (6, 1)
+        );
+        assert_eq!(
+            (sequential.schedule.hits, sequential.schedule.misses),
+            (0, 7)
+        );
+        for rep in 0..20 {
+            assert_eq!(counts(2), sequential, "repetition {rep} at 2 threads");
+        }
     }
 }

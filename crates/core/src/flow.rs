@@ -1,12 +1,50 @@
 //! The end-to-end implementation flow: a builder over the staged pass
 //! pipeline (see [`crate::passes`] and [`FlowSession`]).
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
 use crate::error::FlowError;
 use crate::options::{OptimizationOptions, Partitioning, PlaceEffort, RegisterInjection};
 use crate::result::ImplementationResult;
 use crate::session::FlowSession;
 use hlsb_fabric::Device;
 use hlsb_ir::Design;
+
+/// A flow's design with its content digest, shared by every clone of
+/// the flow. No builder method replaces or edits the design after
+/// [`Flow::new`], so the digest, computed on first use, can never go
+/// stale; clones of one flow (clock sweeps, serve waves, explore trials)
+/// hash the design once between them and never copy it.
+pub(crate) struct SharedDesign {
+    design: Design,
+    digest: OnceLock<u64>,
+}
+
+impl SharedDesign {
+    /// `hash_debug` of the design, computed once.
+    pub(crate) fn digest(&self) -> u64 {
+        *self
+            .digest
+            .get_or_init(|| crate::cache::hash_debug(&self.design))
+    }
+}
+
+impl Deref for SharedDesign {
+    type Target = Design;
+
+    fn deref(&self) -> &Design {
+        &self.design
+    }
+}
+
+/// Renders as the bare design, so a flow's `Debug` form is unchanged.
+impl fmt::Debug for SharedDesign {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.design.fmt(f)
+    }
+}
 
 /// Builder for one implementation run: design → schedule → RTL → place →
 /// timing, with the paper's optimizations toggled by
@@ -20,7 +58,7 @@ use hlsb_ir::Design;
 /// parallel, create a session and pass flows to it instead.
 #[derive(Debug, Clone)]
 pub struct Flow {
-    pub(crate) design: Design,
+    pub(crate) design: Arc<SharedDesign>,
     pub(crate) device: Device,
     pub(crate) clock_mhz: f64,
     pub(crate) options: OptimizationOptions,
@@ -39,7 +77,10 @@ impl Flow {
     /// target, no optimizations, seed 1).
     pub fn new(design: Design) -> Self {
         Flow {
-            design,
+            design: Arc::new(SharedDesign {
+                design,
+                digest: OnceLock::new(),
+            }),
             device: Device::ultrascale_plus_vu9p(),
             clock_mhz: 300.0,
             options: OptimizationOptions::none(),
@@ -183,10 +224,11 @@ impl Flow {
     /// key is safe to use for result deduplication and persistent stores
     /// — `hlsb-dse` keys its JSONL result store with it. Stable across
     /// processes and platforms (FNV-1a over the configuration's `Debug`
-    /// form, like the session's stage-artifact cache).
+    /// form, like the session's stage-artifact cache). The design's
+    /// digest is computed once and shared by every clone of the flow.
     pub fn config_key(&self) -> u64 {
         crate::cache::combine(&[
-            crate::cache::hash_debug(&self.design),
+            self.design.digest(),
             crate::cache::hash_debug(&self.device),
             self.clock_mhz.to_bits(),
             crate::cache::hash_debug(&self.options),

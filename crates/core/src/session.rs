@@ -595,7 +595,7 @@ impl FlowSession {
 
         // Front-end (cached, clock-independent).
         let span = root.child("front-end");
-        let design_hash = cache::hash_debug(&flow.design);
+        let design_hash = flow.design.digest();
         let fe_key = cache::front_end_key(design_hash, flow.options.sync_pruning);
         let mut executions = 0u64;
         let mut hits = 0u64;

@@ -240,6 +240,9 @@ impl<'a> FmaxExplorer<'a> {
         for cfg in self.configs.clone() {
             let cfg_t0 = Instant::now();
             let label = cfg.label();
+            // Every trial of this configuration is this flow at another
+            // clock: its clones share the design and hash it once.
+            let base = cfg.flow(self.design, self.device, self.seed, self.start_mhz);
             let cfg_span = root.child("explore.config");
             cfg_span.attr("config", label.as_str());
             let mut outcome = ConfigOutcome {
@@ -264,8 +267,7 @@ impl<'a> FmaxExplorer<'a> {
             // injection cut nothing — the hardware is identical and the
             // twin's search already covers it.
             if cfg.inject.is_enabled() {
-                let probe =
-                    session.probe(&cfg.flow(self.design, self.device, self.seed, self.start_mhz));
+                let probe = session.probe(&base);
                 match probe {
                     Err(e) => {
                         outcome.infeasible = Some(e.to_string());
@@ -308,7 +310,7 @@ impl<'a> FmaxExplorer<'a> {
             // The search: log first, then probe, then a full run.
             let search = {
                 let log = &mut self.log;
-                let (design, device, seed) = (self.design, self.device, self.seed);
+                let (design, base) = (self.design, &base);
                 let (full_evals, probe_evals, log_hits) = (
                     &mut outcome.full_evals,
                     &mut outcome.probe_evals,
@@ -318,7 +320,7 @@ impl<'a> FmaxExplorer<'a> {
                     (&mut outcome.infeasible, &mut trace, &mut io_error);
                 search_max_clock(params, |clock_mhz| {
                     let trial_t0 = Instant::now();
-                    let flow = cfg.flow(design, device, seed, clock_mhz);
+                    let flow = base.clone().clock_mhz(clock_mhz);
                     let key = flow.config_key();
                     let span = cfg_span.child("explore.trial");
                     span.attr("clock-mhz", clock_mhz);
@@ -417,7 +419,7 @@ impl<'a> FmaxExplorer<'a> {
                 cfg_span.attr("converged-mhz", converged);
                 cfg_span.attr("best-fmax-mhz", outcome.best_fmax_mhz);
                 if self.verify_iters > 0 {
-                    let flow = cfg.flow(self.design, self.device, self.seed, converged);
+                    let flow = base.clone().clock_mhz(converged);
                     let stim = Stimulus::seeded(self.design, 1, self.verify_iters as usize);
                     let verdict = match session.simulate(&flow, &stim, self.verify_iters) {
                         Ok(sim) => {

@@ -22,7 +22,7 @@ use std::sync::Mutex;
 
 use hlsb_findings::json::{self, JsonError};
 use hlsb_findings::json_escape;
-use hlsb_store::{JsonlRecord, JsonlTable, StoreLock};
+use hlsb_store::{Fnv1a, JsonlRecord, JsonlTable, StoreLock};
 
 /// One top-level run: a flow evaluation, a serve wave, a DSE campaign or
 /// an explorer search.
@@ -110,18 +110,11 @@ impl RunRecord {
     pub fn compute_digest(&self) -> u64 {
         let mut sorted: Vec<&(String, u64)> = self.counters.iter().collect();
         sorted.sort();
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut hash = Fnv1a::new();
         for (name, v) in sorted {
-            eat(name.as_bytes());
-            eat(&v.to_le_bytes());
+            hash.bytes(name.as_bytes()).u64(*v);
         }
-        hash
+        hash.finish()
     }
 }
 

@@ -5,7 +5,7 @@
 //! dse [--design <name>|all] [--strategy grid|random|halving]
 //!     [--clocks <mhz>[,<mhz>...]] [--budget <n>] [--seed <n>]
 //!     [--seeds <n>[,<n>...]] [--efforts fast|normal|both]
-//!     [--partitions <n>|auto|off[,...]] [--store <path>]
+//!     [--partitions <n>|auto|off[,...]] [--store <dir>]
 //!     [--format table|jsonl] [--verify-iters <n>]
 //!     [--trace-out <path>] [--ledger <path>] [--metrics-out <path>]
 //!     [--list]
@@ -18,9 +18,13 @@
 //! simulates every frontier configuration against the untimed golden
 //! evaluator. `--budget` caps *full-flow* (place-and-route) evaluations;
 //! with `halving`, cheap front-end/schedule/lint probes rank the whole
-//! space first and only the survivors are placed. `--store` persists
-//! results as JSONL keyed by the flow's config key — re-running with the
-//! same store resumes an interrupted sweep without re-placing anything.
+//! space first and only the survivors are placed. `--store` names an
+//! artifact-store directory, the same kind `hlsb-serve --store` uses:
+//! every configuration it holds is answered without re-placing anything
+//! (re-running with the same store resumes an interrupted sweep, and a
+//! store warmed by `hlsb-serve` answers the same configurations), fresh
+//! results are published to it, and its stage fingerprints classify
+//! cross-process warm rebuilds (the `d` counts of the summary line).
 //! `--trace-out` enables span tracing on every fresh full evaluation and
 //! writes the collected trees as Chrome trace-event JSON (one process
 //! per evaluated configuration; load in Perfetto). `--ledger` appends one
@@ -34,8 +38,9 @@
 
 use hlsb::{FlowSession, Partitioning, PlaceEffort};
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
-use hlsb_dse::{report, Explorer, KnobSpace, ResultStore, Strategy, DEFAULT_VERIFY_ITERS};
+use hlsb_dse::{report, Explorer, KnobSpace, Strategy, DEFAULT_VERIFY_ITERS};
 use hlsb_findings::cli::{self, Arg, Cli, CliError};
+use hlsb_store::ArtifactStore;
 use hlsb_telemetry::{render_prometheus, RunLedger, RunRecord};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -50,8 +55,7 @@ struct Args {
     place_seeds: Vec<u32>,
     efforts: Vec<PlaceEffort>,
     partitions: Vec<Partitioning>,
-    store: Option<String>,
-    artifacts: Option<String>,
+    store: Option<ArtifactStore>,
     format: Format,
     verify_iters: u64,
     trace_out: Option<String>,
@@ -69,8 +73,7 @@ enum Format {
 const USAGE: &str = "usage: dse [--design <name>|all] [--strategy grid|random|halving]\n\
                      \x20          [--clocks <mhz>[,<mhz>...]] [--budget <n>] [--seed <n>]\n\
                      \x20          [--seeds <n>[,<n>...]] [--efforts fast|normal|both]\n\
-                     \x20          [--partitions <n>|auto|off[,...]] [--store <path>]\n\
-                     \x20          [--artifacts <dir>]\n\
+                     \x20          [--partitions <n>|auto|off[,...]] [--store <dir>]\n\
                      \x20          [--format table|jsonl]\n\
                      \x20          [--verify-iters <n>] [--trace-out <path>]\n\
                      \x20          [--ledger <path>] [--metrics-out <path>] [--list]";
@@ -86,7 +89,6 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
         efforts: vec![PlaceEffort::Fast],
         partitions: vec![Partitioning::Off],
         store: None,
-        artifacts: None,
         format: Format::Table,
         verify_iters: DEFAULT_VERIFY_ITERS,
         trace_out: None,
@@ -119,8 +121,14 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
                 })?;
             }
             Arg::Flag("--partitions") => args.partitions = cli.list()?,
-            Arg::Flag("--store") => args.store = Some(cli.value()?),
-            Arg::Flag("--artifacts") => args.artifacts = Some(cli.value()?),
+            Arg::Flag("--store") => {
+                // Opened here, so a path that cannot be a store directory
+                // is a usage error before any flow runs.
+                let dir = cli.value()?;
+                let store = ArtifactStore::open(&dir)
+                    .map_err(|e| CliError::usage(format!("cannot open store `{dir}`: {e}")))?;
+                args.store = Some(store);
+            }
             Arg::Flag("--format") => {
                 args.format = cli.parse_with(|f| match f {
                     "table" => Some(Format::Table),
@@ -155,19 +163,12 @@ fn explore(
         partitions: args.partitions.clone(),
         ..KnobSpace::optimization_cube(clocks)
     };
-    let store = match &args.store {
-        // One store file can serve several benchmarks: the config key
-        // covers the design, so entries never collide.
-        Some(path) => ResultStore::open(path)?,
-        None => ResultStore::in_memory(),
-    };
     let campaign_start = Instant::now();
     let mut report = Explorer::new(&bench.design, &bench.device)
         .space(space)
         .strategy(args.strategy)
         .budget(args.budget)
         .seed(args.seed)
-        .store(store)
         .verify_iters(args.verify_iters)
         .trace(args.trace_out.is_some() || args.metrics_out.is_some())
         .run(session)?;
@@ -210,7 +211,7 @@ fn explore(
 }
 
 fn main() -> ExitCode {
-    let args = cli::parse_env("dse", USAGE, parse_args);
+    let mut args = cli::parse_env("dse", USAGE, parse_args);
 
     let benches = all_benchmarks();
     if args.list {
@@ -244,16 +245,10 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut session = match &args.artifacts {
-        // The persistent artifact store classifies cross-process warm
-        // rebuilds: summary_line's `d` counts come from here.
-        Some(dir) => match hlsb_store::ArtifactStore::open(dir) {
-            Ok(store) => FlowSession::new().with_backend(Arc::new(store)),
-            Err(e) => {
-                eprintln!("dse: cannot open artifact store {dir}: {e}");
-                return ExitCode::from(2);
-            }
-        },
+    // One store directory serves every benchmark: the config key covers
+    // the design, so entries never collide.
+    let mut session = match args.store.take() {
+        Some(store) => FlowSession::new().with_backend(Arc::new(store)),
         None => FlowSession::new(),
     };
     let ledger = match &args.ledger {

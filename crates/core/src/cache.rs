@@ -240,6 +240,10 @@ impl ArtifactCache {
         self.backend = Some(backend);
     }
 
+    pub(crate) fn backend(&self) -> Option<&dyn ArtifactBackend> {
+        self.backend.as_deref()
+    }
+
     pub(crate) fn front_end(
         &self,
         key: u64,

@@ -222,7 +222,8 @@ impl Flow {
     /// and trial count. Two flows with equal keys produce identical
     /// [`ImplementationResult`]s (the pipeline is deterministic), so the
     /// key is safe to use for result deduplication and persistent stores
-    /// — `hlsb-dse` keys its JSONL result store with it. Stable across
+    /// — the result table [`FlowSession::evaluate_many`] consults is
+    /// keyed by it. Stable across
     /// processes and platforms (FNV-1a over the configuration's `Debug`
     /// form, like the session's stage-artifact cache). The design's
     /// digest is computed once and shared by every clone of the flow.
@@ -241,20 +242,22 @@ impl Flow {
     }
 
     /// Digest of a finished run as a persistent-store record
-    /// ([`hlsb_store::ResultRecord`]), keyed by
-    /// [`config_key`](Flow::config_key). The record carries everything a
-    /// warm compile-farm lookup needs to answer this configuration again
-    /// without re-running the pipeline; `label` is the human-readable
-    /// configuration name (the key stays authoritative) and `wall_ms`
-    /// the evaluation's wall-clock cost (the one volatile field).
+    /// ([`hlsb_store::ResultRecord`]) under `key`, this flow's
+    /// [`config_key`](Flow::config_key) as the caller already computed
+    /// it. The record carries everything a warm compile-farm lookup needs
+    /// to answer this configuration again without re-running the
+    /// pipeline; `label` is the human-readable configuration name (the
+    /// key stays authoritative) and `wall_ms` the evaluation's wall-clock
+    /// cost (the one volatile field).
     pub fn store_record(
         &self,
+        key: u64,
         label: &str,
         result: &ImplementationResult,
         wall_ms: f64,
     ) -> hlsb_store::ResultRecord {
         hlsb_store::ResultRecord {
-            key: self.config_key(),
+            key,
             design: self.design.name.clone(),
             label: label.to_string(),
             fmax_mhz: result.fmax_mhz,

@@ -67,7 +67,7 @@ pub use options::{
 };
 pub use passes::{FrontEndArtifact, LoopFrontEndInfo, LoopScheduleTrace, ScheduleArtifact};
 pub use result::{ImplementationResult, PartitionSummary, Utilization};
-pub use session::{FlowSession, ProbeOutcome, SimulationOutcome};
+pub use session::{Evaluation, FlowSession, ProbeOutcome, SimulationOutcome, DEFAULT_VERIFY_ITERS};
 pub use trace::{PassRecord, PassTrace};
 
 // The span-tracing surface (crate `hlsb-trace`), re-exported so flow

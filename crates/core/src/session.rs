@@ -220,6 +220,30 @@ impl SimulationOutcome {
     }
 }
 
+/// Default iteration cap for [`FlowSession::simulate`] when it checks the
+/// semantics of a chosen configuration (the DSE frontier, the explorer's
+/// converged clocks).
+pub const DEFAULT_VERIFY_ITERS: u64 = 32;
+
+/// How [`FlowSession::evaluate_many`] answered one flow.
+#[derive(Debug)]
+pub enum Evaluation {
+    /// The session's backend already held the flow's record; nothing ran.
+    Stored(hlsb_store::ResultRecord),
+    /// The flow ran. `published` is the backend's verdict on storing
+    /// `record` (`Ok` when the session has no backend).
+    Fresh {
+        /// The full result of the run.
+        result: Box<ImplementationResult>,
+        /// Its digest, as stored.
+        record: hlsb_store::ResultRecord,
+        /// Whether the backend accepted the record.
+        published: std::io::Result<()>,
+    },
+    /// The flow ran and failed.
+    Failed(FlowError),
+}
+
 /// Reusable flow-execution context: stage-artifact cache + thread budget.
 ///
 /// One-shot [`Flow::run`] calls create a throwaway session internally;
@@ -287,12 +311,17 @@ impl FlowSession {
     }
 
     /// Attaches a persistent artifact backend (normally an
-    /// [`hlsb_store::ArtifactStore`]) to the session's stage cache.
-    /// The backend never changes any result — disk-backed and in-memory
-    /// runs stay bit-identical — it classifies rebuilds as cross-process
-    /// warm ([`CacheStats::disk_hits`], the volatile `store-hits` stage
-    /// counter) and publishes fresh artifact fingerprints for other
-    /// processes to audit against.
+    /// [`hlsb_store::ArtifactStore`]) to the session. The backend never
+    /// changes any result — disk-backed and in-memory runs stay
+    /// bit-identical. It plays two parts:
+    ///
+    /// * its result table answers [`evaluate_many`](FlowSession::evaluate_many)
+    ///   without running anything, and takes the records of the flows it
+    ///   does run — one table for every tool on the session;
+    /// * the stage cache classifies rebuilds as cross-process warm
+    ///   ([`CacheStats::disk_hits`], the volatile `store-hits` stage
+    ///   counter) and publishes fresh artifact fingerprints for other
+    ///   processes to audit against.
     pub fn with_backend(mut self, backend: Arc<dyn hlsb_store::ArtifactBackend>) -> Self {
         self.cache.set_backend(backend);
         self
@@ -406,6 +435,61 @@ impl FlowSession {
         slots
             .into_iter()
             .map(|s| s.expect("every flow produces a result"))
+            .collect()
+    }
+
+    /// Evaluates flows through the backend's result table: each entry is
+    /// a flow, the label its record carries and its
+    /// [`Flow::config_key`] as the caller computed it. A key the backend
+    /// holds is answered from its record; only the misses run, as one
+    /// [`run_many`](FlowSession::run_many) batch, so a batch of hits
+    /// starts no worker thread. Every fresh record is published to the
+    /// backend, and a refused publish is reported on its flow. The
+    /// misses share the batch's wall time evenly as their records'
+    /// `wall_ms`. Answers come back in input order. Each flow is looked
+    /// up as `flows` yields it, so a stored flow is dropped before the
+    /// next one is built.
+    pub fn evaluate_many(
+        &self,
+        flows: impl IntoIterator<Item = (Flow, String, u64)>,
+    ) -> Vec<Evaluation> {
+        let backend = self.cache.backend();
+        let mut misses: Vec<Flow> = Vec::new();
+        let lookups: Vec<Result<hlsb_store::ResultRecord, (String, u64)>> = flows
+            .into_iter()
+            .map(|(flow, label, key)| {
+                backend.and_then(|b| b.lookup_result(key)).ok_or_else(|| {
+                    misses.push(flow);
+                    (label, key)
+                })
+            })
+            .collect();
+        let start = Instant::now();
+        let results = self.run_many(&misses);
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3 / misses.len().max(1) as f64;
+        let mut ran = misses.iter().zip(results);
+        lookups
+            .into_iter()
+            .map(|lookup| {
+                let (label, key) = match lookup {
+                    Ok(record) => return Evaluation::Stored(record),
+                    Err(miss) => miss,
+                };
+                let (flow, result) = ran.next().expect("one result per miss");
+                match result {
+                    Ok(result) => {
+                        let record = flow.store_record(key, &label, &result, wall_ms);
+                        let published =
+                            backend.map_or(Ok(()), |b| b.publish_result(record.clone()));
+                        Evaluation::Fresh {
+                            result: Box::new(result),
+                            record,
+                            published,
+                        }
+                    }
+                    Err(e) => Evaluation::Failed(e),
+                }
+            })
             .collect()
     }
 

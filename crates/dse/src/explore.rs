@@ -1,21 +1,20 @@
-//! The exploration driver: candidate selection, batched evaluation,
-//! persistence, frontier extraction and semantics verification.
+//! The exploration driver: candidate selection, batched evaluation
+//! through the session's result table, frontier extraction and
+//! semantics verification.
 
 use std::time::Instant;
 
-use hlsb::{CacheStats, Flow, FlowSession, PassRecord, PassTrace, StageCacheStats, TraceTree};
+use hlsb::{
+    CacheStats, Evaluation, Flow, FlowSession, PassRecord, PassTrace, StageCacheStats, TraceTree,
+    DEFAULT_VERIFY_ITERS,
+};
 use hlsb_fabric::Device;
 use hlsb_ir::Design;
 use hlsb_sim::Stimulus;
 
 use crate::objective::{pareto_indices, pareto_ranks, Metrics};
 use crate::space::{DseConfig, KnobSpace};
-use crate::store::{Record, ResultStore};
 use crate::strategy::{proxy_metrics, Strategy};
-
-/// Default iteration cap for the differential-simulation check of
-/// frontier configurations.
-pub const DEFAULT_VERIFY_ITERS: u64 = 32;
 
 /// One fully evaluated configuration in a [`DseReport`].
 #[derive(Debug, Clone)]
@@ -27,7 +26,7 @@ pub struct EvaluatedPoint {
     /// Measured objectives (from the store or a fresh run — identical
     /// either way, the pipeline is deterministic).
     pub metrics: Metrics,
-    /// Whether the metrics were served from the persistent store.
+    /// Whether the session's persistent store answered the point.
     pub from_store: bool,
     /// Differential-simulation verdict, set for Pareto-optimal points
     /// when verification is enabled: `Ok(())` when the cycle-accurate
@@ -40,7 +39,7 @@ pub struct EvaluatedPoint {
 pub struct DseReport {
     /// Strategy name (`grid` / `random` / `halving`).
     pub strategy: &'static str,
-    /// Every configuration with full metrics, in evaluation order.
+    /// Every configuration with full metrics, in candidate order.
     pub points: Vec<EvaluatedPoint>,
     /// Indices into [`points`](DseReport::points) of the Pareto-optimal
     /// configurations, fastest first.
@@ -49,7 +48,7 @@ pub struct DseReport {
     pub probe_evals: usize,
     /// Full place-and-route evaluations spent.
     pub full_evals: usize,
-    /// Configurations served from the persistent store.
+    /// Configurations answered by the session's persistent store.
     pub store_hits: usize,
     /// Candidates whose flow failed (e.g. the design does not fit the
     /// device at that configuration) — excluded from the frontier.
@@ -94,6 +93,13 @@ impl DseReport {
 /// Pareto design-space explorer over the broadcast-optimization knobs of
 /// one design/device pair.
 ///
+/// Every point is evaluated through [`FlowSession::evaluate_many`]: when
+/// the session is backed by a persistent store
+/// ([`FlowSession::with_backend`]), points the store holds are answered
+/// without running, and fresh points are published to it — so a killed
+/// sweep resumes where it stopped, and a store warmed by `hlsb-serve`
+/// answers the same configurations here.
+///
 /// ```no_run
 /// use hlsb::FlowSession;
 /// use hlsb_dse::{Explorer, KnobSpace, Strategy};
@@ -116,14 +122,13 @@ pub struct Explorer<'a> {
     strategy: Strategy,
     budget: usize,
     seed: u64,
-    store: ResultStore,
     verify_iters: u64,
     trace_spans: bool,
 }
 
 impl<'a> Explorer<'a> {
     /// An explorer over the default space (the optimization cube at
-    /// 300 MHz), grid strategy, unbounded budget, in-memory store.
+    /// 300 MHz), grid strategy, unbounded budget.
     pub fn new(design: &'a Design, device: &'a Device) -> Self {
         Explorer {
             design,
@@ -132,7 +137,6 @@ impl<'a> Explorer<'a> {
             strategy: Strategy::Grid,
             budget: usize::MAX,
             seed: 1,
-            store: ResultStore::in_memory(),
             verify_iters: DEFAULT_VERIFY_ITERS,
             trace_spans: false,
         }
@@ -164,13 +168,6 @@ impl<'a> Explorer<'a> {
         self
     }
 
-    /// Attaches a result store (e.g. [`ResultStore::open`] on a JSONL
-    /// path) for dedup and resume-after-interrupt.
-    pub fn store(mut self, store: ResultStore) -> Self {
-        self.store = store;
-        self
-    }
-
     /// Iteration cap for the differential-simulation check of frontier
     /// configurations; `0` disables verification.
     pub fn verify_iters(mut self, iters: u64) -> Self {
@@ -187,24 +184,26 @@ impl<'a> Explorer<'a> {
         self
     }
 
-    fn flow(&self, cfg: &DseConfig) -> Flow {
-        cfg.flow(self.design, self.device, self.seed)
-            .trace(self.trace_spans)
-            .verify(true)
-    }
-
     /// Runs the search: selects candidates per the strategy, evaluates
-    /// them (store first, then batched [`FlowSession::run_many`]),
-    /// extracts the Pareto frontier and differentially simulates every
-    /// frontier configuration.
+    /// them in one [`FlowSession::evaluate_many`] batch (the session's
+    /// store first, then the misses in parallel), extracts the Pareto
+    /// frontier and differentially simulates every frontier
+    /// configuration.
     ///
     /// # Errors
     ///
-    /// I/O errors of the persistent store. Per-candidate flow failures
-    /// are not errors — they are counted as
-    /// [`infeasible`](DseReport::infeasible) and skipped.
-    pub fn run(&mut self, session: &FlowSession) -> std::io::Result<DseReport> {
+    /// The first error the session's store returned publishing a fresh
+    /// record. Per-candidate flow failures are not errors — they are
+    /// counted as [`infeasible`](DseReport::infeasible) and skipped.
+    pub fn run(&self, session: &FlowSession) -> std::io::Result<DseReport> {
         let t0 = Instant::now();
+        // Every point's flow is a clone of this one: they share the
+        // design and hash it once.
+        let base = Flow::new(self.design.clone())
+            .device(self.device.clone())
+            .seed(self.seed)
+            .trace(self.trace_spans)
+            .verify(true);
         let stats0 = session.cache_stats_by_stage();
         let mut trace = PassTrace::default();
         let mut probe_evals = 0usize;
@@ -244,7 +243,7 @@ impl<'a> Explorer<'a> {
                     for (i, cfg) in all.iter().enumerate() {
                         // The probe is the cheap stage: front-end + schedule
                         // + lint, no placement. Lint feeds the fmax proxy.
-                        let flow = self.flow(cfg).lint(true);
+                        let flow = cfg.apply(base.clone()).lint(true);
                         match session.probe(&flow) {
                             Ok(probe) => {
                                 probe_evals += 1;
@@ -276,57 +275,53 @@ impl<'a> Explorer<'a> {
             }
         };
 
-        // Evaluation: the store answers first, the session runs the rest
-        // in one parallel batch.
+        // Evaluation: the session's store answers first, the session runs
+        // the rest in one parallel batch.
+        let flows: Vec<(Flow, String, u64)> = candidates
+            .iter()
+            .map(|cfg| {
+                let flow = cfg.apply(base.clone());
+                let key = flow.config_key();
+                (flow, cfg.label(), key)
+            })
+            .collect();
         let mut points: Vec<EvaluatedPoint> = Vec::with_capacity(candidates.len());
-        let mut fresh: Vec<(DseConfig, u64, Flow)> = Vec::new();
-        let mut store_hits = 0usize;
-        for cfg in &candidates {
-            let flow = self.flow(cfg);
-            let key = flow.config_key();
-            if let Some(rec) = self.store.get(key) {
-                store_hits += 1;
-                points.push(EvaluatedPoint {
-                    config: *cfg,
-                    key,
-                    metrics: rec.metrics,
-                    from_store: true,
-                    sim_check: None,
-                });
-            } else {
-                fresh.push((*cfg, key, flow));
-            }
-        }
-        let flows: Vec<Flow> = fresh.iter().map(|(_, _, f)| f.clone()).collect();
-        let results = session.run_many(&flows);
         let mut full_evals = 0usize;
+        let mut store_hits = 0usize;
         let mut infeasible = 0usize;
         let mut span_trees: Vec<(String, TraceTree)> = Vec::new();
-        for ((cfg, key, _), result) in fresh.into_iter().zip(results) {
-            match result {
-                Ok(mut r) => {
+        let evals = session.evaluate_many(flows);
+        for (cfg, eval) in candidates.iter().zip(evals) {
+            let (record, from_store) = match eval {
+                Evaluation::Stored(record) => {
+                    store_hits += 1;
+                    (record, true)
+                }
+                Evaluation::Fresh {
+                    mut result,
+                    record,
+                    published,
+                } => {
+                    published?;
                     full_evals += 1;
-                    trace.merge(&r.trace);
-                    if let Some(tree) = r.span_tree.take() {
+                    trace.merge(&result.trace);
+                    if let Some(tree) = result.span_tree.take() {
                         span_trees.push((cfg.label(), tree));
                     }
-                    let metrics = Metrics::from_result(&r);
-                    self.store.insert(Record {
-                        key,
-                        design: self.design.name.clone(),
-                        config: cfg,
-                        metrics,
-                    })?;
-                    points.push(EvaluatedPoint {
-                        config: cfg,
-                        key,
-                        metrics,
-                        from_store: false,
-                        sim_check: None,
-                    });
+                    (record, false)
                 }
-                Err(_) => infeasible += 1,
-            }
+                Evaluation::Failed(_) => {
+                    infeasible += 1;
+                    continue;
+                }
+            };
+            points.push(EvaluatedPoint {
+                config: *cfg,
+                key: record.key,
+                metrics: Metrics::from_record(&record),
+                from_store,
+                sim_check: None,
+            });
         }
 
         // Frontier extraction + differential simulation of every winner.
@@ -337,7 +332,7 @@ impl<'a> Explorer<'a> {
         if self.verify_iters > 0 {
             let stim = Stimulus::seeded(self.design, 1, self.verify_iters as usize);
             for &i in &frontier {
-                let flow = self.flow(&points[i].config);
+                let flow = points[i].config.apply(base.clone());
                 let verdict = match session.simulate(&flow, &stim, self.verify_iters) {
                     Ok(sim) => {
                         trace.merge(&sim.trace);

@@ -19,11 +19,21 @@
 //! * [`Strategy`] — exhaustive grid, seeded random, or successive halving
 //!   (cheap front-end/schedule/lint probes rank candidates, only the
 //!   survivors pay for place-and-route).
-//! * [`ResultStore`] — persistent JSONL store, dedup by
-//!   [`Flow::config_key`](hlsb::Flow::config_key), resume after interrupt.
 //! * [`Explorer`] / [`DseReport`] — the driver: batches candidates through
-//!   [`FlowSession::run_many`](hlsb::FlowSession::run_many), extracts the
-//!   frontier and differentially simulates every frontier configuration.
+//!   [`FlowSession::evaluate_many`](hlsb::FlowSession::evaluate_many),
+//!   extracts the frontier and differentially simulates every frontier
+//!   configuration.
+//!
+//! # Persistence
+//!
+//! The explorer keeps no table of its own. A session backed by an
+//! [`hlsb_store::ArtifactStore`](hlsb::store::ArtifactStore)
+//! ([`FlowSession::with_backend`](hlsb::FlowSession::with_backend))
+//! answers every configuration the store holds — keyed by
+//! [`Flow::config_key`](hlsb::Flow::config_key), so a killed sweep
+//! resumes where it stopped — and takes the record of every fresh one.
+//! It is the same result table `hlsb-serve` reads and fills, so either
+//! tool can warm it for the other.
 //! * [`report`] — table / JSONL renderers used by `hlsb-bench dse`.
 //!
 //! # Example
@@ -39,7 +49,7 @@
 //!     .strategy(Strategy::Grid)
 //!     .verify_iters(4)
 //!     .run(&session)
-//!     .expect("in-memory store cannot fail");
+//!     .expect("a session without a store never fails to publish");
 //! assert!(!report.frontier.is_empty());
 //! assert!(report.frontier_semantics_ok());
 //! ```
@@ -48,11 +58,10 @@ pub mod explore;
 pub mod objective;
 pub mod report;
 pub mod space;
-pub mod store;
 pub mod strategy;
 
-pub use explore::{DseReport, EvaluatedPoint, Explorer, DEFAULT_VERIFY_ITERS};
+pub use explore::{DseReport, EvaluatedPoint, Explorer};
+pub use hlsb::DEFAULT_VERIFY_ITERS;
 pub use objective::{pareto_indices, pareto_ranks, Metrics};
 pub use space::{DseConfig, KnobSpace};
-pub use store::{Record, ResultStore};
 pub use strategy::{proxy_metrics, Strategy};

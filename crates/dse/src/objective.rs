@@ -5,7 +5,7 @@
 //! scalarization — the result of a search is the set of non-dominated
 //! points (the Pareto frontier), as production DSE tools report it.
 
-use hlsb::ImplementationResult;
+use hlsb::store::ResultRecord;
 
 /// The objective vector of one evaluated configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,12 +20,13 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Extracts the objectives from a full implementation run.
-    pub fn from_result(r: &ImplementationResult) -> Self {
+    /// Extracts the objectives from the result record of a full
+    /// implementation run.
+    pub fn from_record(r: &ResultRecord) -> Self {
         Metrics {
             fmax_mhz: r.fmax_mhz,
             latency_cycles: r.latency_cycles,
-            area_cells: r.stats.ffs + r.stats.luts,
+            area_cells: r.ffs + r.luts,
         }
     }
 

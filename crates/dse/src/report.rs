@@ -1,8 +1,9 @@
 //! Renderers for [`DseReport`]: a human-readable frontier table and a
 //! machine-readable JSONL stream.
 
+use hlsb_findings::json_escape;
+
 use crate::explore::{DseReport, EvaluatedPoint};
-use crate::store::Record;
 
 fn sim_tag(p: &EvaluatedPoint) -> &'static str {
     match &p.sim_check {
@@ -39,22 +40,33 @@ pub fn frontier_table(report: &DseReport) -> String {
     out
 }
 
-/// The frontier as JSON lines — the same flat schema as the persistent
-/// store, extended with `"pareto":true` and the simulation verdict.
+/// The frontier as JSON lines, one flat object per configuration: the
+/// config key, design, label, the knobs, the measured objectives, then
+/// `"pareto":true`, the store provenance and the simulation verdict.
 pub fn frontier_jsonl(report: &DseReport, design: &str) -> String {
     let mut out = String::new();
     for p in report.frontier_points() {
-        let rec = Record {
-            key: p.key,
-            design: design.to_string(),
-            config: p.config,
-            metrics: p.metrics,
-        };
-        let line = rec.to_json();
-        // Splice the extra fields before the closing brace.
-        let body = line.strip_suffix('}').unwrap_or(&line);
+        let (c, o, m) = (&p.config, &p.config.options, &p.metrics);
         out.push_str(&format!(
-            "{body},\"pareto\":true,\"from_store\":{},\"sim\":\"{}\"}}\n",
+            "{{\"key\":{},\"design\":\"{}\",\"label\":\"{}\",\
+             \"broadcast_aware\":{},\"sync_pruning\":{},\"skid_buffer\":{},\"min_area_skid\":{},\
+             \"clock_mhz\":{:?},\"place_seeds\":{},\"effort\":\"{}\",\"partitions\":\"{}\",\
+             \"fmax_mhz\":{:?},\"latency_cycles\":{},\"area_cells\":{},\
+             \"pareto\":true,\"from_store\":{},\"sim\":\"{}\"}}\n",
+            p.key,
+            json_escape(design),
+            json_escape(&c.label()),
+            o.broadcast_aware,
+            o.sync_pruning,
+            o.skid_buffer,
+            o.min_area_skid,
+            c.clock_mhz,
+            c.place_seeds,
+            c.effort.label(),
+            c.partitions.label(),
+            m.fmax_mhz,
+            m.latency_cycles,
+            m.area_cells,
             p.from_store,
             sim_tag(p),
         ));

@@ -45,13 +45,19 @@ impl DseConfig {
 
     /// The flow this configuration denotes for a concrete design/device.
     /// `seed` is the shared base seed of the exploration (placement
-    /// trials derive their own streams from it).
+    /// trials derive their own streams from it). Copies the design; to
+    /// derive many points of one design, [`apply`](DseConfig::apply)
+    /// each to clones of one base flow instead.
     pub fn flow(&self, design: &Design, device: &Device, seed: u64) -> Flow {
-        Flow::new(design.clone())
-            .device(device.clone())
-            .clock_mhz(self.clock_mhz)
+        self.apply(Flow::new(design.clone()).device(device.clone()).seed(seed))
+    }
+
+    /// Sets this configuration's knobs on `base`, a flow that already
+    /// carries the design, device and seed. Clones of one base flow share
+    /// its design and the design's digest.
+    pub fn apply(&self, base: Flow) -> Flow {
+        base.clock_mhz(self.clock_mhz)
             .options(self.options)
-            .seed(seed)
             .place_effort(self.effort)
             .place_seeds(self.place_seeds)
             .partitions(self.partitions)

@@ -4,7 +4,9 @@
 
 use std::time::Instant;
 
-use hlsb::{FlowSession, PassRecord, PassTrace, TraceTree, Tracer};
+use hlsb::{
+    FlowSession, PassRecord, PassTrace, RegisterInjection, TraceTree, Tracer, DEFAULT_VERIFY_ITERS,
+};
 use hlsb_fabric::Device;
 use hlsb_ir::Design;
 use hlsb_sim::Stimulus;
@@ -17,10 +19,6 @@ use crate::{DEFAULT_BUDGET, DEFAULT_TOLERANCE_MHZ};
 /// Slack for the met-target comparison, MHz — well below the search
 /// tolerance, well above f64 noise in the period/frequency conversion.
 const EPS_MHZ: f64 = 1e-6;
-
-/// Default iteration cap for the differential-simulation check of
-/// converged configurations.
-pub const DEFAULT_VERIFY_ITERS: u64 = 32;
 
 /// The outcome of one configuration's search.
 #[derive(Debug, Clone)]
@@ -280,12 +278,7 @@ impl<'a> FmaxExplorer<'a> {
                     Ok(p) => {
                         outcome.probe_evals += 2;
                         trace.merge(&p.trace);
-                        let twin = session.probe(&cfg.twin().flow(
-                            self.design,
-                            self.device,
-                            self.seed,
-                            self.start_mhz,
-                        ));
+                        let twin = session.probe(&base.clone().inject(RegisterInjection::Off));
                         if let Ok(t) = twin {
                             trace.merge(&t.trace);
                             if t.schedule_depths == p.schedule_depths {

@@ -35,7 +35,8 @@ pub mod report;
 pub mod search;
 
 pub use config::ExploreConfig;
-pub use explorer::{ConfigOutcome, ExploreReport, FmaxExplorer, DEFAULT_VERIFY_ITERS};
+pub use explorer::{ConfigOutcome, ExploreReport, FmaxExplorer};
+pub use hlsb::DEFAULT_VERIFY_ITERS;
 pub use log::{FreqLog, TrialKind, TrialRecord};
 pub use search::{search_max_clock, SearchOutcome, SearchParams, Trial};
 

@@ -9,13 +9,12 @@
 //! 2. canonicalizes by [`Flow::config_key`](hlsb::Flow::config_key) and
 //!    dedupes — a key answered earlier in this serve run (or twice in
 //!    one wave) is served from memory;
-//! 3. short-circuits through the persistent [`ArtifactStore`]: a key
-//!    whose [`ResultRecord`] is on disk is answered with **zero**
-//!    place-and-route work;
-//! 4. runs the remaining flows through
-//!    [`FlowSession::run_many`](hlsb::FlowSession::run_many) — the
-//!    work-stealing worker pool — with the verify pre-gate enabled, and
-//!    publishes fresh results back to the store.
+//! 3. hands the rest to
+//!    [`FlowSession::evaluate_many`](hlsb::FlowSession::evaluate_many):
+//!    a key whose [`ResultRecord`] the session's persistent store holds
+//!    is answered with **zero** place-and-route work, and the remaining
+//!    flows run on the work-stealing worker pool with the verify
+//!    pre-gate enabled, their fresh results published back to the store.
 //!
 //! Outcome lines are emitted in input order and contain no volatile
 //! fields (no wall times, no hit/miss provenance), so a cold run and a
@@ -28,9 +27,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use hlsb::{FlowError, FlowSession};
+use hlsb::{Evaluation, FlowError, FlowSession};
 use hlsb_findings::{json_escape, Severity};
-use hlsb_store::{ArtifactStore, ResultRecord};
+use hlsb_store::{ArtifactBackend, ArtifactStore, ResultRecord};
 use hlsb_telemetry::{RunLedger, RunRecord};
 use hlsb_trace::{MetricsRegistry, TraceTree, Tracer};
 
@@ -230,14 +229,13 @@ impl ServeSummary {
 }
 
 /// The batch compile server. One server owns one [`FlowSession`] (the
-/// worker pool and stage-artifact cache) and optionally one shared
-/// persistent [`ArtifactStore`]; [`process`](JobServer::process) may be
-/// called repeatedly — later calls keep benefiting from the session
-/// cache and the in-run answer table.
+/// worker pool, the stage-artifact cache and optionally one shared
+/// persistent store); [`process`](JobServer::process) may be called
+/// repeatedly — later calls keep benefiting from the session cache and
+/// the in-run answer table.
 pub struct JobServer {
     cfg: ServeConfig,
     session: FlowSession,
-    store: Option<Arc<ArtifactStore>>,
     /// Config keys answered in this serve run → their records.
     answered: HashMap<u64, ResultRecord>,
     /// Shared so a live scrape endpoint ([`metrics_handle`]
@@ -260,17 +258,23 @@ impl JobServer {
     /// from it and fresh results published to it, and the session's
     /// stage cache audits its artifact fingerprints against it.
     pub fn with_store(cfg: ServeConfig, store: Arc<ArtifactStore>) -> Self {
-        JobServer::build(cfg, Some(store))
+        JobServer::with_backend(cfg, store)
     }
 
-    fn build(cfg: ServeConfig, store: Option<Arc<ArtifactStore>>) -> Self {
+    /// A server whose session is backed by any [`ArtifactBackend`] (see
+    /// [`FlowSession::with_backend`]).
+    pub fn with_backend(cfg: ServeConfig, backend: Arc<dyn ArtifactBackend>) -> Self {
+        JobServer::build(cfg, Some(backend))
+    }
+
+    fn build(cfg: ServeConfig, backend: Option<Arc<dyn ArtifactBackend>>) -> Self {
         let mut session = if cfg.workers == 0 {
             FlowSession::new()
         } else {
             FlowSession::with_threads(cfg.workers)
         };
-        if let Some(store) = &store {
-            session = session.with_backend(store.clone() as Arc<dyn hlsb_store::ArtifactBackend>);
+        if let Some(backend) = backend {
+            session = session.with_backend(backend);
         }
         let tracer = if cfg.trace {
             Tracer::enabled()
@@ -280,7 +284,6 @@ impl JobServer {
         JobServer {
             cfg,
             session,
-            store,
             answered: HashMap::new(),
             metrics: Arc::new(Mutex::new(MetricsRegistry::default())),
             ledger: None,
@@ -360,8 +363,8 @@ impl JobServer {
         summary
     }
 
-    /// Executes one wave: parse → resolve → dedup → store lookup →
-    /// `run_many` the rest → publish → emit in input order.
+    /// Executes one wave: parse → resolve → dedup → `evaluate_many` the
+    /// rest (store lookup, run, publish) → emit in input order.
     fn run_wave(
         &mut self,
         wave_index: usize,
@@ -383,15 +386,17 @@ impl JobServer {
             metrics.observe("serve.queue-depth", &QUEUE_DEPTH_BOUNDS, wave.len() as f64);
         }
 
-        // Parse + resolve. `slots` holds the finished outcomes; pending
-        // evaluations remember which slot they fill.
+        // Parse + resolve, lazily: the session looks each job up in the
+        // store as it is resolved, so a stored job's design is dropped
+        // before the next one is built. `slots` holds the finished
+        // outcomes; pending evaluations remember which slot they fill.
         let mut slots: Vec<JobOutcome> = Vec::with_capacity(wave.len());
-        let mut pending: Vec<(usize, hlsb::Flow, String)> = Vec::new();
+        let mut pending: Vec<usize> = Vec::new();
         // Keys being evaluated in this wave → slot of the primary job,
         // and the duplicates waiting on them (dup slot → primary slot).
         let mut in_flight: HashMap<u64, usize> = HashMap::new();
         let mut dups: Vec<(usize, usize)> = Vec::new();
-        for (slot, (index, line)) in wave.iter().enumerate() {
+        let jobs = wave.iter().enumerate().filter_map(|(slot, (index, line))| {
             let index = *index;
             let mut outcome = JobOutcome {
                 id: format!("job-{index}"),
@@ -410,7 +415,7 @@ impl JobServer {
                 Err(e) => {
                     outcome.error = Some(e);
                     slots.push(outcome);
-                    continue;
+                    return None;
                 }
             };
             if !job.id.is_empty() {
@@ -422,7 +427,7 @@ impl JobServer {
                 Err(e) => {
                     outcome.error = Some(e);
                     slots.push(outcome);
-                    continue;
+                    return None;
                 }
             };
             let key = flow.config_key();
@@ -432,7 +437,7 @@ impl JobServer {
                 outcome.record = Some(rec.clone());
                 outcome.deduped = true;
                 slots.push(outcome);
-                continue;
+                return None;
             }
             if let Some(primary) = in_flight.get(&key) {
                 // Duplicate of a job still evaluating in this wave: fill
@@ -440,51 +445,38 @@ impl JobServer {
                 outcome.deduped = true;
                 dups.push((slot, *primary));
                 slots.push(outcome);
-                continue;
-            }
-            if let Some(rec) = self.store.as_ref().and_then(|s| s.get_result(key)) {
-                outcome.status = JobStatus::Done;
-                outcome.record = Some(rec.clone());
-                outcome.from_store = true;
-                self.answered.insert(key, rec);
-                slots.push(outcome);
-                continue;
+                return None;
             }
             in_flight.insert(key, slot);
-            pending.push((slot, flow.verify(self.cfg.verify), label));
+            pending.push(slot);
             slots.push(outcome);
-        }
+            Some((flow.verify(self.cfg.verify), label, key))
+        });
 
-        // Evaluate the fresh configurations on the worker pool.
-        let eval_start = Instant::now();
-        let flows: Vec<hlsb::Flow> = pending.iter().map(|(_, f, _)| f.clone()).collect();
-        let results = if flows.is_empty() {
-            Vec::new()
-        } else {
-            self.session.run_many(&flows)
-        };
-        let eval_ms = eval_start.elapsed().as_secs_f64() * 1e3;
-        let per_flow_ms = if flows.is_empty() {
-            0.0
-        } else {
-            eval_ms / flows.len() as f64
-        };
-        for ((slot, flow, label), result) in pending.into_iter().zip(results) {
+        // The store answers what it holds; the rest runs on the worker
+        // pool.
+        let evals = self.session.evaluate_many(jobs);
+        let ran = evals
+            .iter()
+            .filter(|e| !matches!(e, Evaluation::Stored(_)))
+            .count();
+        for (slot, eval) in pending.into_iter().zip(evals) {
             let outcome = &mut slots[slot];
-            match result {
-                Ok(result) => {
-                    let rec = flow.store_record(&label, &result, per_flow_ms);
-                    if let Some(store) = &self.store {
-                        if store.put_result(rec.clone()).is_err() {
-                            summary.store_put_errors += 1;
-                        }
-                    }
-                    self.answered.insert(rec.key, rec.clone());
-                    outcome.status = JobStatus::Done;
-                    outcome.record = Some(rec);
-                    summary.evaluated += 1;
+            let rec = match eval {
+                Evaluation::Stored(rec) => {
+                    outcome.from_store = true;
+                    rec
                 }
-                Err(FlowError::VerifyRejected { report }) => {
+                Evaluation::Fresh {
+                    record, published, ..
+                } => {
+                    if published.is_err() {
+                        summary.store_put_errors += 1;
+                    }
+                    summary.evaluated += 1;
+                    record
+                }
+                Evaluation::Failed(FlowError::VerifyRejected { report }) => {
                     let mut rules: Vec<String> = report
                         .diagnostics
                         .iter()
@@ -496,13 +488,18 @@ impl JobServer {
                     outcome.status = JobStatus::Rejected;
                     outcome.findings = rules;
                     summary.rejected += 1;
+                    continue;
                 }
-                Err(other) => {
+                Evaluation::Failed(other) => {
                     outcome.status = JobStatus::Failed;
                     outcome.error = Some(other.to_string());
                     summary.failed += 1;
+                    continue;
                 }
-            }
+            };
+            self.answered.insert(rec.key, rec.clone());
+            outcome.status = JobStatus::Done;
+            outcome.record = Some(rec);
         }
 
         // Resolve in-wave duplicates against their primaries, tally and
@@ -564,13 +561,13 @@ impl JobServer {
                     metrics.count(name, tally as u64);
                 }
             }
-            metrics.count("serve.evaluated", flows.len() as u64);
+            metrics.count("serve.evaluated", ran as u64);
             metrics.observe("serve.wave-ms", &WAVE_MS_BOUNDS, wave_ms);
             let workers = self.session.threads().max(1) as f64;
             metrics.observe(
                 "serve.worker-utilization",
                 &UTILIZATION_BOUNDS,
-                (flows.len() as f64 / workers).min(1.0),
+                (ran as f64 / workers).min(1.0),
             );
         }
         if let Some(ledger) = &self.ledger {
@@ -583,7 +580,7 @@ impl JobServer {
             );
             rec.add_stage("wave", wave_ms);
             rec.add_count("jobs", wave.len() as u64);
-            rec.add_count("evaluated", flows.len() as u64);
+            rec.add_count("evaluated", ran as u64);
             rec.add_count("store-hits", wave_tally.store_hits as u64);
             rec.add_count("dedup-hits", wave_tally.dedup_hits as u64);
             rec.add_count("rejected", wave_tally.rejected as u64);
@@ -593,7 +590,7 @@ impl JobServer {
             let _ = ledger.append(rec);
         }
         if span.is_enabled() {
-            span.attr_volatile("evaluated", flows.len() as u64);
+            span.attr_volatile("evaluated", ran as u64);
             span.attr_volatile("wave-ms", wave_ms);
         }
         span.finish();

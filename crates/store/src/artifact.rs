@@ -40,16 +40,29 @@ use crate::table::{JsonlRecord, JsonlTable};
 pub const SHARD_COUNT: usize = 8;
 
 /// The interface a [`FlowSession`](../hlsb/struct.FlowSession.html)
-/// cache uses to consult and feed a persistent store, without `hlsb-core`
-/// knowing anything about files. `lookup` must be cheap (no I/O) —
-/// it sits on the stage-cache miss path; `publish` swallows I/O errors
-/// (a broken store degrades to a cold one, never fails a flow).
+/// uses to consult and feed a persistent store, without `hlsb-core`
+/// knowing anything about files: stage fingerprints for its artifact
+/// cache, and whole-flow [`ResultRecord`]s for
+/// `FlowSession::evaluate_many`. Lookups must be cheap (no I/O) — they
+/// sit on the cache-miss and job paths. `publish` swallows I/O errors (a
+/// broken store degrades to a cold one, never fails a flow);
+/// `publish_result` returns them, so callers can count or surface them.
 pub trait ArtifactBackend: Send + Sync {
     /// The stored artifact fingerprint for a stage key, if any.
     fn lookup(&self, stage: StageKind, key: u64) -> Option<u64>;
 
     /// Records the fingerprint of a freshly built artifact.
     fn publish(&self, stage: StageKind, key: u64, fingerprint: u64, wall_ms: f64);
+
+    /// The stored result for a flow configuration key, if any.
+    fn lookup_result(&self, key: u64) -> Option<ResultRecord>;
+
+    /// Persists a fresh full-flow evaluation.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors persisting the record.
+    fn publish_result(&self, rec: ResultRecord) -> std::io::Result<()>;
 }
 
 /// The sharded persistent store. Cheap to share: all methods take
@@ -59,8 +72,7 @@ pub struct ArtifactStore {
     dir: Option<PathBuf>,
     results: Vec<Mutex<JsonlTable<ResultRecord>>>,
     stages: Vec<Mutex<JsonlTable<StageRecord>>>,
-    /// Append failures swallowed by [`ArtifactBackend::publish`] and
-    /// [`ArtifactStore::put_result`]'s best-effort callers.
+    /// Append failures swallowed by [`ArtifactBackend::publish`].
     io_errors: AtomicU64,
 }
 
@@ -222,6 +234,14 @@ impl ArtifactBackend for ArtifactStore {
         if appended.is_err() {
             self.io_errors.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    fn lookup_result(&self, key: u64) -> Option<ResultRecord> {
+        self.get_result(key)
+    }
+
+    fn publish_result(&self, rec: ResultRecord) -> std::io::Result<()> {
+        self.put_result(rec)
     }
 }
 

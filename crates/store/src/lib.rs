@@ -7,15 +7,19 @@
 //!   file with the workspace's durability rules: append+flush per
 //!   record, partial-trailing-line tolerance, later-duplicate-wins, and
 //!   heal-before-append so a writer killed mid-line never corrupts its
-//!   successors. The DSE `ResultStore` and the explorer `FreqLog` are
-//!   thin wrappers over this type.
+//!   successors. Every `ArtifactStore` shard is one, and so is the
+//!   explorer's `FreqLog`.
 //! * [`ArtifactStore`] — the on-disk store proper: [`ResultRecord`] and
 //!   [`StageRecord`] segments sharded by key across
 //!   [`SHARD_COUNT`] append-only files, guarded by an advisory
 //!   [`StoreLock`] so concurrent processes share one directory safely.
-//!   It implements [`ArtifactBackend`], the interface `hlsb-core`'s
-//!   session cache uses to consult and feed a store without knowing
-//!   anything about files.
+//!   It implements [`ArtifactBackend`], the interface a `hlsb-core`
+//!   `FlowSession` uses without knowing anything about files: its
+//!   `evaluate_many` answers flows from the stored results and publishes
+//!   fresh ones, and its stage cache consults and feeds the stage
+//!   fingerprints. The `ResultRecord` segments are the one result table
+//!   of the workspace: `hlsb-serve` jobs and `hlsb-dse` sweeps read and
+//!   fill the same records through the session.
 //!
 //! Every key and fingerprint is hashed by [`Fnv1a`] ([`combine`] for
 //! `u64` parts, [`hash_debug`] for a value's streamed `Debug` form).

@@ -1,8 +1,9 @@
 //! The generic keyed JSONL table — the durability core shared by every
-//! persistent store in the workspace (the DSE `ResultStore`, the explorer
-//! `FreqLog`, and the compile-farm `ArtifactStore` shards).
+//! persistent store in the workspace: the `ArtifactStore` shards (the
+//! result table `hlsb-serve` and `hlsb-dse` share, and the stage
+//! fingerprints) and the explorer's `FreqLog`.
 //!
-//! Durability rules (established by the DSE store, now centralized here):
+//! Durability rules:
 //!
 //! * **append + flush per record** — a kill loses at most the line being
 //!   written, never a previously inserted record;

@@ -130,5 +130,12 @@ fn wrong_configurations_are_refused_before_any_flow_runs() {
     assert_usage_error("trace", &["genome", "all", "extra"], "`extra`");
     assert_usage_error("lint", &["--target", "vu9"], "bad --target value `vu9`");
     assert_usage_error("dse", &["--partitions", "4,x"], "bad --partitions value");
+    assert_usage_error("dse", &["--artifacts", "x"], "`--artifacts`");
+    // A regular file cannot be a store directory.
+    let file = std::env::temp_dir().join(format!("hlsb_cli_contract_{}", std::process::id()));
+    std::fs::write(&file, "not a store\n").unwrap();
+    let path = file.to_str().expect("utf-8 temp path");
+    assert_usage_error("dse", &["--store", path], path);
+    std::fs::remove_file(&file).unwrap();
     assert_usage_error("hlsb-serve", &["--wave", "many"], "bad --wave value `many`");
 }

@@ -1,14 +1,17 @@
 //! Integration tests of the `hlsb-dse` explorer: determinism of the
-//! search, resume-after-interrupt through the JSONL store, the
+//! search, resume-after-interrupt through the session's artifact store, the
 //! successive-halving efficiency claim, and the quality of the frontier
 //! against the all-optimizations default.
 
+use std::sync::Arc;
+
 use hlsb::{FlowSession, OptimizationOptions};
 use hlsb_benchmarks::all_benchmarks;
-use hlsb_dse::{DseReport, Explorer, KnobSpace, ResultStore, Strategy};
+use hlsb_dse::{DseReport, Explorer, KnobSpace, Strategy};
 use hlsb_fabric::Device;
 use hlsb_ir::builder::DesignBuilder;
 use hlsb_ir::{DataType, Design};
+use hlsb_store::ArtifactStore;
 
 /// A small broadcast-heavy design: cheap to place, yet the optimization
 /// knobs still change its fmax/area trade-off.
@@ -113,34 +116,34 @@ fn interrupted_sweep_resumes_from_the_store_to_the_same_frontier() {
         .expect("in-memory store");
     assert_eq!(reference.full_evals, 12, "the cube has 12 canonical points");
 
-    let dir = std::env::temp_dir().join("hlsb_dse_search_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("resume_{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    let dir = std::env::temp_dir()
+        .join("hlsb_dse_search_test")
+        .join(format!("resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stored_session =
+        || FlowSession::new().with_backend(Arc::new(ArtifactStore::open(&dir).unwrap()));
 
     // "Kill" the sweep after 5 evaluations: a budget-truncated grid run
     // persists exactly what an interrupted full run would have flushed.
     let partial = Explorer::new(&design, &device)
         .space(space.clone())
         .budget(5)
-        .store(ResultStore::open(&path).unwrap())
         .verify_iters(0)
-        .run(&session)
-        .expect("file store");
+        .run(&stored_session())
+        .expect("disk store");
     assert_eq!(partial.full_evals, 5);
 
-    // Resume against the same file with a fresh session: the 5 stored
-    // evaluations are served without re-running place-and-route.
+    // Resume against the same directory with a fresh session: the 5
+    // stored evaluations are served without re-running place-and-route.
     let resumed = Explorer::new(&design, &device)
         .space(space)
-        .store(ResultStore::open(&path).unwrap())
         .verify_iters(0)
-        .run(&FlowSession::new())
-        .expect("file store");
+        .run(&stored_session())
+        .expect("disk store");
     assert_eq!(resumed.store_hits, 5);
     assert_eq!(resumed.full_evals, 7);
     assert_eq!(frontier_signature(&resumed), frontier_signature(&reference));
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -14,7 +14,6 @@
 use std::fmt::Debug;
 
 use hlsb::{Partitioning, PlaceEffort, RegisterInjection};
-use hlsb_dse::{DseConfig, Metrics, Record};
 use hlsb_explore::{TrialKind, TrialRecord};
 use hlsb_rng::Rng;
 use hlsb_serve::{parse_options, JobSpec};
@@ -52,15 +51,6 @@ impl Codec for RunRecord {
     }
     fn read(text: &str) -> Option<Self> {
         <Self as JsonlRecord>::from_json(text)
-    }
-}
-
-impl Codec for Record {
-    fn write(&self) -> String {
-        self.to_json()
-    }
-    fn read(text: &str) -> Option<Self> {
-        Record::from_json(text)
     }
 }
 
@@ -139,25 +129,6 @@ fn result_sample(design: &str, label: &str, key: u64, fmax: f64, wall_ms: f64) -
         duplicated_regs: 4,
         retime_moves: 2,
         wall_ms,
-    }
-}
-
-fn dse_sample(design: &str, key: u64, clock_mhz: f64, fmax: f64) -> Record {
-    Record {
-        key,
-        design: design.to_string(),
-        config: DseConfig {
-            options: parse_options("bsk").expect("valid mask"),
-            clock_mhz,
-            place_seeds: 2,
-            effort: PlaceEffort::Normal,
-            partitions: Partitioning::Fixed(4),
-        },
-        metrics: Metrics {
-            fmax_mhz: fmax,
-            latency_cycles: 96,
-            area_cells: 5120,
-        },
     }
 }
 
@@ -347,14 +318,6 @@ fn fixtures_written_by_the_writers_decode_and_re_render_byte_for_byte() {
         "{\"stage\":\"front_end\",\"key\":1,\"fingerprint\":2,\"wall_ms\":1e16}",
     );
     assert_fixture(
-        dse_sample("vector_product", (1 << 63) + 5, 333.0, 2.5e-8),
-        "{\"key\":9223372036854775813,\"design\":\"vector_product\",\
-         \"label\":\"BSK- @333 ×2 normal p4\",\"broadcast_aware\":true,\
-         \"sync_pruning\":true,\"skid_buffer\":true,\"min_area_skid\":false,\
-         \"clock_mhz\":333.0,\"place_seeds\":2,\"effort\":\"normal\",\"partitions\":\"4\",\
-         \"fmax_mhz\":2.5e-8,\"latency_cycles\":96,\"area_cells\":5120}",
-    );
-    assert_fixture(
         trial_sample(
             "lstm_gate",
             "BSK- ×1 fast",
@@ -528,7 +491,6 @@ fn hostile_strings_round_trip_through_every_record_kind() {
                 wall_ms: x,
             });
         }
-        assert_round_trip(&dse_sample(s[0], key, x, y));
         assert_round_trip(&trial_sample(
             s[0],
             s[1],

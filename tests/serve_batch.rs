@@ -151,9 +151,9 @@ fn worker_count_never_changes_the_outcome_stream() {
 #[test]
 fn store_sharing_between_serve_and_plain_sessions_is_transparent() {
     // A result published by a direct FlowSession user (e.g. the DSE
-    // driver with --artifacts) must answer a later serve job for the
-    // same configuration, because both sides key by Flow::config_key.
-    use hlsb::{Flow, FlowSession, PlaceEffort};
+    // driver with --store) must answer a later serve job for the same
+    // configuration, because both sides key by Flow::config_key.
+    use hlsb::{Evaluation, Flow, FlowSession, PlaceEffort};
     let dir = scratch("cross_tool");
     let store = Arc::new(ArtifactStore::open(&dir).unwrap());
 
@@ -169,10 +169,15 @@ fn store_sharing_between_serve_and_plain_sessions_is_transparent() {
         .verify(true);
     let session = FlowSession::with_threads(1)
         .with_backend(store.clone() as Arc<dyn hlsb_store::ArtifactBackend>);
-    let result = session.run(&flow).expect("flow");
-    store
-        .put_result(flow.store_record("direct", &result, 1.0))
-        .unwrap();
+    let key = flow.config_key();
+    let mut evals = session.evaluate_many(vec![(flow, "direct".to_string(), key)]);
+    let Some(Evaluation::Fresh {
+        result, published, ..
+    }) = evals.pop()
+    else {
+        panic!("a cold store runs the flow");
+    };
+    published.expect("the session publishes to the store");
 
     // fuzz:21 resolves to the same design, device and clock — the serve
     // job must be answered from the store without evaluation.

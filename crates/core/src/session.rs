@@ -868,6 +868,14 @@ impl FlowSession {
                         "inst" => u64::from(inst),
                         "stages" => u64::from(stages));
                 }
+                if lt.rounds == hlsb_sched::MAX_ROUNDS {
+                    // Every split inserts one register.
+                    hlsb_trace::event!(span, "schedule.capped",
+                        "kernel" => lt.kernel.as_str(),
+                        "loop" => lt.looop.as_str(),
+                        "rounds" => lt.rounds as u64,
+                        "inserted" => lt.splits.len() as u64);
+                }
                 if lt.residual > 0 {
                     hlsb_trace::event!(span, "schedule.residual",
                         "kernel" => lt.kernel.as_str(),

@@ -6,7 +6,6 @@ use crate::model::DelayModel;
 use crate::predicted::HlsPredictedModel;
 use hlsb_fabric::Device;
 use hlsb_ir::{DataType, OpKind};
-use std::collections::HashMap;
 
 /// The paper's calibrated delay model (§4.1).
 ///
@@ -19,17 +18,18 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibratedModel {
     predicted: HlsPredictedModel,
-    /// Per characterized class: (bf, wire excess over bf=1) points.
-    excess: HashMap<OpClass, Vec<(usize, f64)>>,
-    /// Fallback excess curve (from IntAlu, or empty).
-    fallback: Vec<(usize, f64)>,
+    /// Per class, indexed by [`OpClass::index`]: the `(ln bf, wire excess
+    /// over bf=1)` points of its curve. Uncharacterized classes hold the
+    /// fallback curve (IntAlu's, or empty). The logarithms are taken once
+    /// here, so a lookup is an index and one `ln`.
+    excess: [Vec<(f64, f64)>; OpClass::COUNT],
     label: String,
 }
 
 impl CalibratedModel {
     /// Builds the model from a characterization result.
     pub fn from_characterization(ch: &Characterization) -> Self {
-        let mut excess = HashMap::new();
+        let mut measured: Vec<(OpClass, Vec<(f64, f64)>)> = Vec::new();
         for &class in ch.classes() {
             let Some(curve) = ch.curve(class) else {
                 continue;
@@ -38,20 +38,29 @@ impl CalibratedModel {
                 continue;
             }
             let base = curve[0].smoothed_ns;
-            let pts: Vec<(usize, f64)> = curve
+            let pts = curve
                 .iter()
-                .map(|p| (p.bf, (p.smoothed_ns - base).max(0.0)))
+                .map(|p| {
+                    let ln_bf = (p.bf.max(1) as f64).ln();
+                    (ln_bf, (p.smoothed_ns - base).max(0.0))
+                })
                 .collect();
-            excess.insert(class, pts);
+            measured.push((class, pts));
         }
-        let fallback = excess
-            .get(&OpClass::IntAlu)
-            .cloned()
-            .unwrap_or_else(|| excess.values().next().cloned().unwrap_or_default());
+        let fallback = measured
+            .iter()
+            .find(|(class, _)| *class == OpClass::IntAlu)
+            .or(measured.first())
+            .map(|(_, pts)| pts.clone())
+            .unwrap_or_default();
+        let mut excess: [Vec<(f64, f64)>; OpClass::COUNT] =
+            std::array::from_fn(|_| fallback.clone());
+        for (class, pts) in measured {
+            excess[class.index()] = pts;
+        }
         CalibratedModel {
             predicted: HlsPredictedModel::new(),
             excess,
-            fallback,
             label: format!("calibrated({})", ch.device_name),
         }
     }
@@ -68,25 +77,20 @@ impl CalibratedModel {
 
     /// The broadcast wire excess for an op class at factor `bf`, ns.
     pub fn wire_excess_ns(&self, class: OpClass, bf: usize) -> f64 {
-        let curve = self.excess.get(&class).unwrap_or(&self.fallback);
-        interpolate_log(curve, bf)
+        interpolate_log(&self.excess[class.index()], bf)
     }
 }
 
-/// Piecewise-linear interpolation in `ln(bf)`; extrapolates with the slope
-/// of the outermost segment.
-fn interpolate_log(curve: &[(usize, f64)], bf: usize) -> f64 {
-    if curve.is_empty() {
+/// Piecewise-linear interpolation in `ln(bf)` over `(ln bf, value)`
+/// points; extrapolates with the slope of the outermost segment.
+fn interpolate_log(pts: &[(f64, f64)], bf: usize) -> f64 {
+    if pts.is_empty() {
         return 0.0;
     }
-    let x = (bf.max(1) as f64).ln();
-    if curve.len() == 1 {
-        return curve[0].1;
+    if pts.len() == 1 {
+        return pts[0].1;
     }
-    let pts: Vec<(f64, f64)> = curve
-        .iter()
-        .map(|&(b, v)| ((b.max(1) as f64).ln(), v))
-        .collect();
+    let x = (bf.max(1) as f64).ln();
     let (lo, hi) = if x <= pts[0].0 {
         (pts[0], pts[1])
     } else if x >= pts[pts.len() - 1].0 {
@@ -206,6 +210,84 @@ mod tests {
             let d = m.delay_ns(OpKind::Add, ty, bf);
             assert!(d >= last - 0.2, "non-monotone at bf={bf}: {d} < {last}");
             last = d;
+        }
+    }
+
+    /// The per-call formula the precomputed curves replaced: raw
+    /// `(bf, excess)` points, logarithms taken on every lookup.
+    fn reference_interpolate_log(curve: &[(usize, f64)], bf: usize) -> f64 {
+        if curve.is_empty() {
+            return 0.0;
+        }
+        let x = (bf.max(1) as f64).ln();
+        if curve.len() == 1 {
+            return curve[0].1;
+        }
+        let pts: Vec<(f64, f64)> = curve
+            .iter()
+            .map(|&(b, v)| ((b.max(1) as f64).ln(), v))
+            .collect();
+        let (lo, hi) = if x <= pts[0].0 {
+            (pts[0], pts[1])
+        } else if x >= pts[pts.len() - 1].0 {
+            (pts[pts.len() - 2], pts[pts.len() - 1])
+        } else {
+            let i = pts.partition_point(|p| p.0 <= x).min(pts.len() - 1);
+            (pts[i - 1], pts[i])
+        };
+        let span = hi.0 - lo.0;
+        if span.abs() < 1e-12 {
+            return lo.1;
+        }
+        let t = (x - lo.0) / span;
+        (lo.1 + t * (hi.1 - lo.1)).max(0.0)
+    }
+
+    #[test]
+    fn precomputed_curves_match_the_per_call_formula_bit_for_bit() {
+        let device = Device::ultrascale_plus_vu9p();
+        let ch = characterize(
+            &device,
+            &CharacterizeConfig {
+                seed: 1,
+                ..CharacterizeConfig::default()
+            },
+        );
+        let m = CalibratedModel::from_characterization(&ch);
+        let raw = |class: OpClass| -> Vec<(usize, f64)> {
+            let curve = ch.curve(class).expect("characterized");
+            let base = curve[0].smoothed_ns;
+            curve
+                .iter()
+                .map(|p| (p.bf, (p.smoothed_ns - base).max(0.0)))
+                .collect()
+        };
+        // Every characterized class, and one uncharacterized class per
+        // fallback use (they all read IntAlu's curve).
+        let cases = [
+            (OpClass::IntAlu, raw(OpClass::IntAlu)),
+            (OpClass::Mem, raw(OpClass::Mem)),
+            (OpClass::FloatMul, raw(OpClass::FloatMul)),
+            (OpClass::Logic, raw(OpClass::IntAlu)),
+            (OpClass::IntMul, raw(OpClass::IntAlu)),
+            (OpClass::Fifo, raw(OpClass::IntAlu)),
+        ];
+        for (class, curve) in &cases {
+            for bf in 0..=4096 {
+                let got = m.wire_excess_ns(*class, bf);
+                let want = reference_interpolate_log(curve, bf);
+                assert_eq!(got.to_bits(), want.to_bits(), "{class} at bf={bf}");
+            }
+        }
+        // Degenerate curves: one point, and none.
+        let one = [(4usize, 0.25)];
+        let single = vec![((4.0f64).ln(), 0.25)];
+        for bf in [0, 1, 4, 4096] {
+            assert_eq!(
+                interpolate_log(&single, bf).to_bits(),
+                reference_interpolate_log(&one, bf).to_bits()
+            );
+            assert_eq!(interpolate_log(&[], bf), 0.0);
         }
     }
 

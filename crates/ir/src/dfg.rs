@@ -242,10 +242,11 @@ impl Dfg {
         depth
     }
 
-    /// Rebuilds the graph with a [`OpKind::Reg`] inserted immediately after
-    /// `def`, redirecting **all** existing users of `def` to the register —
-    /// the paper's "insert register modules to the source code" fix that
-    /// forces the scheduler to split an over-long broadcast chain (§4.1).
+    /// Returns a copy of the graph with a [`OpKind::Reg`] inserted
+    /// immediately after `def`, redirecting **all** existing users of
+    /// `def` to the register — the paper's "insert register modules to the
+    /// source code" fix that forces the scheduler to split an over-long
+    /// broadcast chain (§4.1).
     ///
     /// Returns the new graph, the id of the register, and the mapping from
     /// old instruction ids to new ones.
@@ -254,47 +255,77 @@ impl Dfg {
     ///
     /// Panics if `def` is out of bounds.
     pub fn insert_reg_after(&self, def: InstId) -> (Dfg, InstId, Vec<InstId>) {
-        let (dfg, regs, map) = self.insert_regs_after(&[def]);
+        let (dfg, regs, map) = self.clone().insert_regs_after(&[def]);
         (dfg, regs[0], map)
     }
 
     /// Batched form of [`Dfg::insert_reg_after`]: inserts one register
-    /// after each listed def in a single rebuild. Returns the new graph,
-    /// the register ids (parallel to `defs`, deduplicated by first
-    /// occurrence), and the old-to-new id mapping.
+    /// after each listed def, consuming the graph. Returns the new graph,
+    /// the register ids (parallel to `defs`; a repeated def names the same
+    /// register), and the old-to-new id mapping.
+    ///
+    /// Instructions move into the new graph and their operands are
+    /// remapped in place. Use lists are remapped too: the id map is
+    /// monotone, so a list in definition order stays in definition order
+    /// (a list left out of order by [`Dfg::replace_operand`] is sorted, as
+    /// a rebuild by [`Dfg::push_inst`] would order it).
     ///
     /// # Panics
     ///
     /// Panics if any def is out of bounds.
-    pub fn insert_regs_after(&self, defs: &[InstId]) -> (Dfg, Vec<InstId>, Vec<InstId>) {
-        let mut want = vec![false; self.insts.len()];
+    pub fn insert_regs_after(self, defs: &[InstId]) -> (Dfg, Vec<InstId>, Vec<InstId>) {
+        let n = self.insts.len();
+        let mut want = vec![false; n];
         for &d in defs {
-            assert!(d.index() < self.insts.len(), "def out of bounds");
+            assert!(d.index() < n, "def out of bounds");
             want[d.index()] = true;
         }
-        let mut out = Dfg::new();
-        let mut map: Vec<InstId> = Vec::with_capacity(self.insts.len());
-        let mut reg_of: Vec<Option<InstId>> = vec![None; self.insts.len()];
-        for (id, inst) in self.iter() {
-            let mut cl = inst.clone();
-            cl.operands = inst
-                .operands
-                .iter()
-                .map(|op| reg_of[op.index()].unwrap_or(map[op.index()]))
-                .collect();
-            let new_id = out.push_inst(cl);
-            map.push(new_id);
-            if want[id.index()] {
-                let mut reg = Instruction::new(OpKind::Reg, inst.ty, vec![new_id]);
-                reg.name = format!("{}_reg", inst.name);
-                reg_of[id.index()] = Some(out.push_inst(reg));
+        // Each instruction shifts down by the registers inserted before it;
+        // a register takes the slot right after its def.
+        let mut map: Vec<InstId> = Vec::with_capacity(n);
+        let mut reg_of: Vec<Option<InstId>> = vec![None; n];
+        let mut next = 0u32;
+        for (i, &w) in want.iter().enumerate() {
+            map.push(InstId(next));
+            next += 1;
+            if w {
+                reg_of[i] = Some(InstId(next));
+                next += 1;
+            }
+        }
+        let mut insts = Vec::with_capacity(next as usize);
+        let mut users = Vec::with_capacity(next as usize);
+        for (i, (mut inst, mut uses)) in self.insts.into_iter().zip(self.users).enumerate() {
+            for op in &mut inst.operands {
+                *op = reg_of[op.index()].unwrap_or(map[op.index()]);
+            }
+            for u in &mut uses {
+                *u = map[u.index()];
+            }
+            if !uses.is_sorted() {
+                uses.sort_unstable();
+            }
+            match reg_of[i] {
+                Some(reg) => {
+                    let mut r = Instruction::new(OpKind::Reg, inst.ty, vec![map[i]]);
+                    r.name = format!("{}_reg", inst.name);
+                    insts.push(inst);
+                    users.push(vec![reg]);
+                    // The register takes over every use of its def.
+                    insts.push(r);
+                    users.push(uses);
+                }
+                None => {
+                    insts.push(inst);
+                    users.push(uses);
+                }
             }
         }
         let regs = defs
             .iter()
             .map(|&d| reg_of[d.index()].expect("reg created"))
             .collect();
-        (out, regs, map)
+        (Dfg { insts, users }, regs, map)
     }
 
     /// Removes instructions whose values are never used and that have no

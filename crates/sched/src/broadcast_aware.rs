@@ -25,6 +25,10 @@ use hlsb_delay::DelayModel;
 use hlsb_ir::{Design, InstId, Loop, OpKind};
 use std::collections::HashMap;
 
+/// Fix-point rounds [`broadcast_aware`] runs at most. A loop whose
+/// violations never clear runs exactly this many rounds.
+pub const MAX_ROUNDS: usize = 64;
+
 /// Extra pipelining for memory accesses, keyed by instruction id in the
 /// **final** loop body.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -178,20 +182,21 @@ pub fn broadcast_aware(
     calibrated: &impl DelayModel,
     clock_ns: f64,
 ) -> BroadcastAwareOutcome {
-    const MAX_ROUNDS: usize = 64;
     let budget = clock_ns * CLOCK_MARGIN;
     let mut cur = lp.clone();
     let mut inserted = 0usize;
     let mut rounds = 0usize;
     let mut splits: Vec<SplitDecision> = Vec::new();
 
-    loop {
+    // Every exit leaves `cur` as the round scheduled it, so the last
+    // round's schedule and analysis are the final ones.
+    let (schedule, analysis) = loop {
         rounds += 1;
         let schedule = schedule_loop(&cur, design, predicted, clock_ns);
         let analysis = analyze(&cur, design, &schedule, calibrated, budget);
 
         if analysis.violations.is_empty() || rounds >= MAX_ROUNDS {
-            break;
+            break (schedule, analysis);
         }
 
         // Choose a register insertion point per violator; batch the round.
@@ -261,16 +266,15 @@ pub fn broadcast_aware(
         }
 
         if cuts.is_empty() {
-            break; // nothing more to register: residual violations
+            // Nothing more to register: residual violations.
+            break (schedule, analysis);
         }
-        let (body, regs, _map) = cur.body.insert_regs_after(&cuts);
-        cur = Loop { body, ..cur };
+        let (body, regs, _map) = std::mem::take(&mut cur.body).insert_regs_after(&cuts);
+        cur.body = body;
         inserted += regs.len();
-    }
+    };
 
-    // Final schedule + residual analysis + memory plan.
-    let schedule = schedule_loop(&cur, design, predicted, clock_ns);
-    let analysis = analyze(&cur, design, &schedule, calibrated, budget);
+    // Residual analysis + memory plan.
     let mut residual = Vec::new();
     let mut mem_plan = MemAccessPlan::default();
     for (id, inst) in cur.body.iter() {
@@ -409,7 +413,7 @@ mod tests {
             "residual: {:?}",
             out.residual_violations
         );
-        assert!(out.rounds < 64);
+        assert!(out.rounds < MAX_ROUNDS);
     }
 
     #[test]
@@ -478,7 +482,7 @@ mod tests {
         let d = genome_like(64);
         let u = unroll_loop(&d.kernels[0].loops[0]);
         let out = broadcast_aware(&u.looop, &d, &HlsPredictedModel::new(), &calibrated(), 0.6);
-        assert!(out.rounds <= 64);
+        assert!(out.rounds <= MAX_ROUNDS);
         assert!(!out.residual_violations.is_empty());
     }
 }

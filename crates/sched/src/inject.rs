@@ -130,8 +130,9 @@ pub fn inject_registers(
         };
     }
 
-    let (body, regs, id_map) = dfg.insert_regs_after(&cuts);
-    let looop = Loop { body, ..lp.clone() };
+    let mut looop = lp.clone();
+    let (body, regs, id_map) = std::mem::take(&mut looop.body).insert_regs_after(&cuts);
+    looop.body = body;
     let schedule = schedule_loop(&looop, design, predicted, clock_ns);
     InjectionOutcome {
         looop,

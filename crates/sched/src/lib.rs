@@ -48,7 +48,9 @@ pub mod list_sched;
 pub mod report;
 pub mod schedule;
 
-pub use broadcast_aware::{broadcast_aware, BroadcastAwareOutcome, MemAccessPlan, SplitDecision};
+pub use broadcast_aware::{
+    broadcast_aware, BroadcastAwareOutcome, MemAccessPlan, SplitDecision, MAX_ROUNDS,
+};
 pub use inject::{inject_registers, InjectDecision, InjectionOutcome};
 pub use list_sched::{schedule_loop, CHAIN_NET_NS, CLOCK_MARGIN};
 pub use report::{ReportEntry, ScheduleReport};

@@ -413,6 +413,61 @@ mod tests {
             }
         }
 
+        /// The register insert as a rebuild: every instruction cloned
+        /// and re-pushed, so use lists come out in definition order.
+        fn rebuild_with_regs(dfg: &Dfg, defs: &[InstId]) -> (Dfg, Vec<InstId>, Vec<InstId>) {
+            let mut out = Dfg::new();
+            let mut map: Vec<InstId> = Vec::new();
+            let mut reg_of: Vec<Option<InstId>> = vec![None; dfg.len()];
+            for (id, inst) in dfg.iter() {
+                let mut cl = inst.clone();
+                for op in &mut cl.operands {
+                    *op = reg_of[op.index()].unwrap_or(map[op.index()]);
+                }
+                let new_id = out.push_inst(cl);
+                map.push(new_id);
+                if defs.contains(&id) {
+                    let reg_name = format!("{}_reg", inst.name);
+                    reg_of[id.index()] =
+                        Some(out.push_named(OpKind::Reg, inst.ty, vec![new_id], reg_name));
+                }
+            }
+            let regs = defs.iter().map(|d| reg_of[d.index()].unwrap()).collect();
+            (out, regs, map)
+        }
+
+        #[test]
+        fn consuming_register_insert_equals_a_rebuild() {
+            let mut rng = Rng::seed_from_u64(0x5CED_0003);
+            for case in 0..64 {
+                let ops = random_ops(&mut rng, 1, 39);
+                let d = random_loop(&ops);
+                let mut dfg = d.kernels[0].loops[0].body.clone();
+                let n = dfg.len() as u64;
+                // Every other case, rewire a few operands so that some use
+                // lists leave definition order.
+                if case % 2 == 1 {
+                    for _ in 0..4 {
+                        let user = InstId(rng.gen_u64(1, n - 1) as u32);
+                        if dfg.inst(user).operands.is_empty() {
+                            continue;
+                        }
+                        let def = InstId(rng.gen_u64(0, u64::from(user.0) - 1) as u32);
+                        dfg.replace_operand(user, 0, def);
+                    }
+                }
+                let defs: Vec<InstId> = (0..rng.gen_u64(0, 6))
+                    .map(|_| InstId(rng.gen_u64(0, n - 1) as u32))
+                    .collect();
+                let want = rebuild_with_regs(&dfg, &defs);
+                assert_eq!(
+                    dfg.insert_regs_after(&defs),
+                    want,
+                    "ops {ops:?} defs {defs:?}"
+                );
+            }
+        }
+
         #[test]
         fn alap_sinking_never_extends_depth() {
             let mut rng = Rng::seed_from_u64(0x5CED_0002);

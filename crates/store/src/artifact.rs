@@ -51,8 +51,17 @@ pub trait ArtifactBackend: Send + Sync {
     /// The stored artifact fingerprint for a stage key, if any.
     fn lookup(&self, stage: StageKind, key: u64) -> Option<u64>;
 
-    /// Records the fingerprint of a freshly built artifact.
+    /// Records the fingerprint of a freshly built artifact. Best effort:
+    /// a failed append is counted in [`publish_errors`], not returned.
+    ///
+    /// [`publish_errors`]: ArtifactBackend::publish_errors
     fn publish(&self, stage: StageKind, key: u64, fingerprint: u64, wall_ms: f64);
+
+    /// Stage publishes that failed so far (0 for a backend that cannot
+    /// fail them).
+    fn publish_errors(&self) -> u64 {
+        0
+    }
 
     /// The stored result for a flow configuration key, if any.
     fn lookup_result(&self, key: u64) -> Option<ResultRecord>;
@@ -234,6 +243,10 @@ impl ArtifactBackend for ArtifactStore {
         if appended.is_err() {
             self.io_errors.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    fn publish_errors(&self) -> u64 {
+        self.io_errors()
     }
 
     fn lookup_result(&self, key: u64) -> Option<ResultRecord> {

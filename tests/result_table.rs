@@ -11,6 +11,7 @@
 
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hlsb::{Evaluation, FlowSession};
@@ -219,4 +220,61 @@ fn refused_publishes_are_counted_by_serve_and_returned_by_dse() {
         .run(&session)
         .expect_err("a refused publish fails the sweep");
     assert_eq!(err.to_string(), "store refuses appends");
+}
+
+/// A store that keeps results but fails every stage-fingerprint append,
+/// counting the failures as a disk store does.
+#[derive(Default)]
+struct StageRefusingStore {
+    refused: AtomicU64,
+}
+
+impl ArtifactBackend for StageRefusingStore {
+    fn lookup(&self, _stage: StageKind, _key: u64) -> Option<u64> {
+        None
+    }
+
+    fn publish(&self, _stage: StageKind, _key: u64, _fingerprint: u64, _wall_ms: f64) {
+        self.refused.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn publish_errors(&self) -> u64 {
+        self.refused.load(Ordering::Relaxed)
+    }
+
+    fn lookup_result(&self, _key: u64) -> Option<ResultRecord> {
+        None
+    }
+
+    fn publish_result(&self, _rec: ResultRecord) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn refused_stage_publishes_are_counted_per_serve_run() {
+    let store = Arc::new(StageRefusingStore::default());
+    let mut server = JobServer::with_backend(ServeConfig::default(), store.clone());
+    let mut lines = jobs();
+    lines.truncate(2);
+    let (out, summary) = serve(&mut server, lines.clone());
+    assert!(out.iter().all(|o| o.status == JobStatus::Done), "{out:?}");
+    assert_eq!(summary.evaluated, 2);
+    assert!(summary.stage_put_errors > 0, "{summary:?}");
+    assert_eq!(summary.stage_put_errors as u64, store.publish_errors());
+    assert_eq!(summary.store_put_errors, 0);
+    assert!(
+        summary
+            .render()
+            .contains(&format!("({} stage put errors)", summary.stage_put_errors)),
+        "{}",
+        summary.render()
+    );
+
+    // A second run answers from memory: no new refusals, and the summary
+    // line reads as it does on a healthy store.
+    let (_, again) = serve(&mut server, lines);
+    assert_eq!(again.dedup_hits, 2);
+    assert_eq!(again.stage_put_errors, 0);
+    assert!(!again.render().contains("put errors"), "{}", again.render());
 }

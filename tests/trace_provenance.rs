@@ -9,6 +9,7 @@ use hlsb_benchmarks::Benchmark;
 use hlsb_fabric::Device;
 use hlsb_ir::builder::DesignBuilder;
 use hlsb_ir::{DataType, Design};
+use hlsb_trace::Value;
 
 const STAGES: [&str; 5] = ["front-end", "schedule", "lower", "implement", "sign-off"];
 
@@ -222,4 +223,48 @@ fn tracing_does_not_perturb_the_result() {
     assert!(sim_plain.trace_tree().is_none());
     assert!(probe_traced.trace_tree().is_some());
     assert!(sim_traced.trace_tree().is_some());
+}
+
+#[test]
+fn fix_point_loops_at_the_round_cap_leave_a_capped_event() {
+    let probe = |name: &str| {
+        let bench = hlsb_benchmarks::all_benchmarks()
+            .into_iter()
+            .find(|b| b.design.name == name)
+            .expect("a Table-1 benchmark");
+        let flow = Flow::new(bench.design)
+            .device(bench.device)
+            .clock_mhz(bench.clock_mhz)
+            .options(OptimizationOptions::all())
+            .trace(true);
+        FlowSession::new().probe(&flow).expect("probe succeeds")
+    };
+    // Stream Buffer's `drain` loop keeps its violations through every
+    // round, one register per round.
+    let capped = probe("stream_buffer");
+    let tree = capped.trace_tree().expect("traced probe has a span tree");
+    let events = tree.events_named("schedule.capped");
+    assert_eq!(events.len(), 1, "one loop runs to the cap");
+    let attr = |key: &str| {
+        events[0]
+            .attrs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("schedule.capped payload is missing `{key}`"))
+    };
+    assert_eq!(attr("loop"), Value::Str("drain".into()));
+    assert_eq!(attr("rounds"), Value::U64(hlsb_sched::MAX_ROUNDS as u64));
+    assert_eq!(
+        attr("inserted"),
+        Value::U64(hlsb_sched::MAX_ROUNDS as u64 - 1)
+    );
+    assert!(matches!(attr("kernel"), Value::Str(_)));
+
+    // A loop that converges leaves none.
+    let converged = probe("vector_product");
+    let tree = converged
+        .trace_tree()
+        .expect("traced probe has a span tree");
+    assert!(tree.events_named("schedule.capped").is_empty());
 }

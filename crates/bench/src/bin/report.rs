@@ -19,6 +19,9 @@
 //! of checking one: per-(tool, design, stage) medians with headroom
 //! `--max-ratio` (default 4), plus hit-rate floors at half the observed
 //! rate. Review and commit the file; `--baseline` then gates CI.
+//! `--write-baseline -` writes the baseline to stdout instead of a file
+//! (the summary line goes to stderr); it cannot be combined with
+//! `--baseline`, whose check report also goes to stdout.
 //!
 //! Exit status is 2 on usage errors, 1 when any check regresses,
 //! 0 when all checks pass; `--help` prints the usage and exits 0.
@@ -69,6 +72,11 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
             "need --baseline to check or --write-baseline to derive one",
         ));
     }
+    if args.baseline.is_some() && args.write_baseline.as_deref() == Some("-") {
+        return Err(CliError::usage(
+            "--write-baseline - and --baseline both write to stdout",
+        ));
+    }
     Ok(args)
 }
 
@@ -89,15 +97,21 @@ fn main() -> ExitCode {
             eprintln!("report: ledger {} yields an empty baseline", args.ledger);
             return ExitCode::from(2);
         }
-        if let Err(e) = std::fs::write(path, baseline.render()) {
-            eprintln!("report: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
+        let wrote = format!(
             "wrote baseline with {} stage rule(s) and {} rate rule(s) to {path}",
             baseline.stages.len(),
             baseline.rates.len()
         );
+        if path == "-" {
+            print!("{}", baseline.render());
+            eprintln!("{wrote}");
+        } else {
+            if let Err(e) = std::fs::write(path, baseline.render()) {
+                eprintln!("report: cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            println!("{wrote}");
+        }
         if args.baseline.is_none() {
             return ExitCode::SUCCESS;
         }

@@ -58,6 +58,7 @@ pub mod session;
 pub mod trace;
 
 mod cache;
+mod pool;
 
 pub use cache::{CacheHit, CacheStats, StageCacheStats};
 pub use error::FlowError;

@@ -1,7 +1,8 @@
 //! Flow options.
 //!
-//! Each knob has one spelling, written by its `label` and read back by
-//! its `FromStr`: every record, job line, report label and command line
+//! Each knob has one spelling, written by its `label` (the toggle mask
+//! of [`OptimizationOptions`] by its `Display`) and read back by its
+//! `FromStr`: every record, job line, report label and command line
 //! goes through these two, so `label().parse()` always round-trips.
 
 use std::fmt;
@@ -53,6 +54,48 @@ impl OptimizationOptions {
             skid_buffer: true,
             ..OptimizationOptions::default()
         }
+    }
+}
+
+impl fmt::Display for OptimizationOptions {
+    /// The toggle mask, the options' one spelling: `BSKM` (Broadcast-aware,
+    /// Sync-pruning, sKid, Min-area skid) with `-` for an off toggle,
+    /// e.g. `B--M`; `----` is the baseline.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let o = self;
+        let mask: String = [
+            o.broadcast_aware,
+            o.sync_pruning,
+            o.skid_buffer,
+            o.min_area_skid,
+        ]
+        .into_iter()
+        .zip("BSKM".chars())
+        .map(|(on, letter)| if on { letter } else { '-' })
+        .collect();
+        f.pad(&mask)
+    }
+}
+
+impl FromStr for OptimizationOptions {
+    type Err = ParseKnobError;
+
+    /// Reads the toggle mask [`Display`](fmt::Display) writes.
+    fn from_str(s: &str) -> Result<Self, ParseKnobError> {
+        let toggle = |i: usize| match (s.as_bytes().get(i), b"BSKM"[i]) {
+            (Some(&c), letter) if c == letter => Ok(true),
+            (Some(b'-'), _) => Ok(false),
+            _ => Err(ParseKnobError),
+        };
+        if s.len() != 4 {
+            return Err(ParseKnobError);
+        }
+        Ok(OptimizationOptions {
+            broadcast_aware: toggle(0)?,
+            sync_pruning: toggle(1)?,
+            skid_buffer: toggle(2)?,
+            min_area_skid: toggle(3)?,
+        })
     }
 }
 
@@ -293,13 +336,29 @@ mod tests {
         ] {
             assert_eq!(inject.label().parse(), Ok(inject));
         }
+        for code in 0..16u8 {
+            let options = OptimizationOptions {
+                broadcast_aware: code & 1 != 0,
+                sync_pruning: code & 2 != 0,
+                skid_buffer: code & 4 != 0,
+                min_area_skid: code & 8 != 0,
+            };
+            assert_eq!(options.to_string().parse(), Ok(options));
+        }
         assert_eq!(PlaceEffort::Fast.label(), "fast");
+        assert_eq!(OptimizationOptions::all().to_string(), "BSKM");
+        assert_eq!(OptimizationOptions::data_only().to_string(), "B---");
         assert_eq!(Partitioning::Fixed(16).label(), "16");
     }
 
     #[test]
     fn knob_parsers_reject_other_spellings() {
         for bad in ["", "r", "r1..2", "fastest", "-1"] {
+            assert_eq!(
+                bad.parse::<OptimizationOptions>(),
+                Err(ParseKnobError),
+                "{bad:?}"
+            );
             assert_eq!(bad.parse::<PlaceEffort>(), Err(ParseKnobError), "{bad:?}");
             assert_eq!(bad.parse::<Partitioning>(), Err(ParseKnobError), "{bad:?}");
             assert_eq!(

@@ -9,18 +9,17 @@
 //!   the netlist is cut at its dataflow seams into islands, every
 //!   inter-island net is registered, each island gets a reserved vertical
 //!   strip of the device, and all `trials × islands` island placements run
-//!   in one work-stealing pool (phase A). Each trial then merges its
+//!   on the crate's worker pool (phase A). Each trial then merges its
 //!   island placements and runs the global fanout/retime/refine passes
 //!   (phase B, parallel over trials).
 //!
 //! Both strategies are deterministic and thread-count independent: phase-A
-//! results are keyed by `(trial, island)` slot, each island placement is a
-//! pure function of `(island netlist, region, seed)`, and the winning
-//! trial is picked with the same strictly-better predicate the sequential
-//! loop uses.
+//! results come back in `(trial, island)` slot order, each island
+//! placement is a pure function of `(island netlist, region, seed)`, and
+//! both strategies keep their winning trial through [`best_of`], whose
+//! predicate does not depend on the order trials finish in.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::thread;
+use std::sync::Mutex;
 
 use hlsb_fabric::{Device, WireModel};
 use hlsb_netlist::{CellId, Netlist, Subgraph};
@@ -34,6 +33,7 @@ use hlsb_timing::{
 };
 
 use crate::options::{Partitioning, PlaceEffort};
+use crate::pool;
 
 /// The winning trial's netlist, placement and reports.
 #[derive(Debug)]
@@ -99,18 +99,17 @@ pub(crate) struct PartitionReport {
 }
 
 struct TrialOutcome {
-    idx: u32,
     out: ImplementOutput,
     summary: TrialSummary,
 }
 
-/// Sequential selection order: a later trial wins only on strictly
-/// better timing, so ties keep the lowest trial index. The parallel
-/// reduction uses the same predicate, which makes parallel ≡ sequential
-/// regardless of completion order.
+/// Whether `a` beats `b`: strictly better timing, ties to the lower
+/// trial index. A total order over trials, so the kept winner is the
+/// same whatever order trials finish in, which makes parallel ≡
+/// sequential.
 fn better(a: &TrialOutcome, b: &TrialOutcome) -> bool {
-    a.out.timing.period_ns < b.out.timing.period_ns
-        || (a.out.timing.period_ns == b.out.timing.period_ns && a.idx < b.idx)
+    let (a, b) = (&a.summary, &b.summary);
+    a.period_ns < b.period_ns || (a.period_ns == b.period_ns && a.idx < b.idx)
 }
 
 /// Global optimization of one placed trial: fanout duplication, backward
@@ -140,7 +139,6 @@ fn finish_trial(
         dur_us: tracer.now_us() - start_us,
     };
     TrialOutcome {
-        idx,
         out: ImplementOutput {
             netlist: nl,
             placement,
@@ -152,26 +150,10 @@ fn finish_trial(
     }
 }
 
-fn run_trial(
-    nl: Netlist,
-    idx: u32,
-    device: &Device,
-    wire: &WireModel,
-    anneal: AnnealConfig,
-    base_seed: u64,
-    tracer: &hlsb_trace::Tracer,
-) -> TrialOutcome {
-    let start_us = tracer.now_us();
-    let seed = hlsb_rng::derive_seed(base_seed, u64::from(idx));
-    let placement = place_with(&nl, device, seed, anneal);
-    finish_trial(nl, placement, idx, seed, wire, start_us, tracer)
-}
-
 /// Everything the partitioned strategy pre-computes once, shared by all
-/// trials: the stitched netlist, the per-island subgraphs and the
+/// trials besides the stitched netlist: the per-island subgraphs and the
 /// reserved regions.
 struct PartitionPlan {
-    netlist: Netlist,
     subs: Vec<Subgraph>,
     regions: Vec<Region>,
     cut_nets: u32,
@@ -179,17 +161,18 @@ struct PartitionPlan {
     crossing_register_bits: u64,
 }
 
-/// Decides whether (and how) to partition. Returns `None` — flat
-/// placement — when partitioning is off, the design resolves to fewer
-/// than two islands, or the device cannot host the reserved regions. The
-/// decision is a pure function of `(netlist, device, partitions, seams)`,
-/// never of the thread count.
+/// Decides whether (and how) to partition, and returns the stitched
+/// netlist with its plan. Returns `None` — flat placement — when
+/// partitioning is off, the design resolves to fewer than two islands,
+/// or the device cannot host the reserved regions. The decision is a
+/// pure function of `(netlist, device, partitions, seams)`, never of the
+/// thread count.
 fn plan_partition(
     netlist: &Netlist,
     device: &Device,
     partitions: Partitioning,
     seams: &[CellId],
-) -> Option<PartitionPlan> {
+) -> Option<(Netlist, PartitionPlan)> {
     if !partitions.is_enabled() {
         return None;
     }
@@ -226,14 +209,14 @@ fn plan_partition(
         .iter()
         .map(|cells| stitched.subgraph(cells))
         .collect();
-    Some(PartitionPlan {
-        netlist: stitched,
+    let plan = PartitionPlan {
         subs,
         regions,
         cut_nets: crossings.cut_nets,
         crossing_registers: crossings.registers,
         crossing_register_bits: crossings.register_bits,
-    })
+    };
+    Some((stitched, plan))
 }
 
 /// Nets whose driver and some sink live in different islands — what
@@ -284,10 +267,16 @@ fn place_island(
     (placement, summary)
 }
 
-/// Merges one trial's island placements into a full-grid placement.
-fn merge_islands(plan: &PartitionPlan, device: &Device, islands: &[&Placement]) -> Placement {
-    let mut locs = vec![(0u16, 0u16); plan.netlist.cell_count()];
-    for (sub, p) in plan.subs.iter().zip(islands) {
+/// Merges one trial's island placements into a full-grid placement of
+/// the `cells` cells of the stitched netlist.
+fn merge_islands(
+    plan: &PartitionPlan,
+    cells: usize,
+    device: &Device,
+    islands: &[(Placement, IslandSummary)],
+) -> Placement {
+    let mut locs = vec![(0u16, 0u16); cells];
+    for (sub, (p, _)) in plan.subs.iter().zip(islands) {
         for (local, &global) in sub.global_of.iter().enumerate() {
             locs[global.index()] = p.loc(CellId(local as u32));
         }
@@ -295,8 +284,53 @@ fn merge_islands(plan: &PartitionPlan, device: &Device, islands: &[&Placement]) 
     Placement::from_locs(locs, device.grid_w, device.grid_h)
 }
 
+/// Runs `trials` placement trials on up to `threads` workers and keeps
+/// the best by [`better`]. Each trial gets its own copy of `netlist`: the
+/// last trial to start takes it, every other one clones it, so a single
+/// trial clones nothing. The winner is kept as trials finish, so no more
+/// outcomes are alive at once than there are workers, plus the winner.
+/// Returns the winner and every trial's summary in trial order.
+fn best_of(
+    netlist: Netlist,
+    trials: u32,
+    threads: usize,
+    trial: impl Fn(u32, Netlist) -> TrialOutcome + Sync,
+) -> (TrialOutcome, Vec<TrialSummary>) {
+    let source = Mutex::new((Some(netlist), trials));
+    let best: Mutex<Option<TrialOutcome>> = Mutex::new(None);
+    let summaries = pool::map_indexed(threads, trials as usize, |idx| {
+        let nl = {
+            let mut source = source.lock().expect("netlist source poisoned");
+            source.1 -= 1;
+            let nl = if source.1 == 0 {
+                source.0.take()
+            } else {
+                source.0.clone()
+            };
+            nl.expect("source netlist present")
+        };
+        let t = trial(idx as u32, nl);
+        let summary = t.summary.clone();
+        keep_best(&best, t);
+        summary
+    });
+    let best = best.into_inner().expect("best-trial slot poisoned");
+    (best.expect("at least one placement trial"), summaries)
+}
+
+/// Replaces the kept outcome with `t` when `t` is [`better`]. The
+/// predicate is a total order, so the winner does not depend on the
+/// order trials finish in.
+fn keep_best(best: &Mutex<Option<TrialOutcome>>, t: TrialOutcome) {
+    let mut best = best.lock().expect("best-trial slot poisoned");
+    if best.as_ref().is_none_or(|b| better(&t, b)) {
+        *best = Some(t);
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_partitioned(
+    netlist: Netlist,
     plan: PartitionPlan,
     device: &Device,
     wire: &WireModel,
@@ -307,136 +341,29 @@ fn run_partitioned(
     tracer: &hlsb_trace::Tracer,
 ) -> (ImplementOutput, Vec<TrialSummary>, u32, PartitionReport) {
     let n_islands = plan.subs.len();
-    let tasks = trials as usize * n_islands;
+    let cells = netlist.cell_count();
 
-    // Phase A: every (trial, island) placement in one work-stealing pool.
-    // Results land in their slot, so worker interleaving is invisible.
-    let mut slots: Vec<Option<(Placement, IslandSummary)>> = (0..tasks).map(|_| None).collect();
-    let workers = threads.clamp(1, tasks.max(1));
-    if workers == 1 {
-        for (slot, entry) in slots.iter_mut().enumerate() {
-            let trial = (slot / n_islands) as u32;
-            let island = (slot % n_islands) as u32;
-            *entry = Some(place_island(
-                &plan, device, anneal, seed, trial, island, tracer,
-            ));
-        }
-    } else {
-        let next = AtomicU32::new(0);
-        let plan_ref = &plan;
-        let produced: Vec<Vec<(usize, (Placement, IslandSummary))>> = thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let slot = next.fetch_add(1, Ordering::Relaxed) as usize;
-                            if slot >= tasks {
-                                break;
-                            }
-                            let trial = (slot / n_islands) as u32;
-                            let island = (slot % n_islands) as u32;
-                            mine.push((
-                                slot,
-                                place_island(plan_ref, device, anneal, seed, trial, island, tracer),
-                            ));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("island placement panicked"))
-                .collect()
-        });
-        for (slot, result) in produced.into_iter().flatten() {
-            slots[slot] = Some(result);
-        }
-    }
-    let slots: Vec<(Placement, IslandSummary)> = slots
-        .into_iter()
-        .map(|s| s.expect("every island slot filled"))
-        .collect();
+    // Phase A: every (trial, island) placement in one pool. Results come
+    // back in slot order, so worker interleaving is invisible.
+    let slots = pool::map_indexed(threads, trials as usize * n_islands, |slot| {
+        let trial = (slot / n_islands) as u32;
+        let island = (slot % n_islands) as u32;
+        place_island(&plan, device, anneal, seed, trial, island, tracer)
+    });
 
     // Phase B: per-trial merge + global fanout/retime/refine, parallel
-    // over trials with the same stealing/reduction scheme as flat mode.
-    let finish = |idx: u32, nl: Netlist| -> TrialOutcome {
-        let trial_slots: Vec<&Placement> = (0..n_islands)
-            .map(|i| &slots[idx as usize * n_islands + i].0)
-            .collect();
+    // over trials with the same keep-best reduction as flat mode.
+    let (best, summaries) = best_of(netlist, trials, threads, |idx, nl| {
+        let trial_slots = &slots[idx as usize * n_islands..][..n_islands];
         // The trial's window starts when its first island started.
-        let start_us = (0..n_islands)
-            .map(|i| slots[idx as usize * n_islands + i].1.start_us)
+        let start_us = trial_slots
+            .iter()
+            .map(|(_, s)| s.start_us)
             .fold(f64::INFINITY, f64::min);
-        let placement = merge_islands(&plan, device, &trial_slots);
+        let placement = merge_islands(&plan, cells, device, trial_slots);
         let trial_seed = hlsb_rng::derive_seed(seed, u64::from(idx));
         finish_trial(nl, placement, idx, trial_seed, wire, start_us, tracer)
-    };
-
-    let workers = threads.clamp(1, trials as usize);
-    let (best, mut summaries) = if workers == 1 {
-        let mut best: Option<TrialOutcome> = None;
-        let mut summaries = Vec::with_capacity(trials as usize);
-        let mut source = Some(plan.netlist.clone());
-        for idx in 0..trials {
-            // The last trial consumes the netlist instead of cloning it.
-            let nl = if idx + 1 == trials {
-                source.take().expect("source netlist present")
-            } else {
-                source.as_ref().expect("source netlist present").clone()
-            };
-            let t = finish(idx, nl);
-            summaries.push(t.summary.clone());
-            if best.as_ref().is_none_or(|b| better(&t, b)) {
-                best = Some(t);
-            }
-        }
-        (best, summaries)
-    } else {
-        let next = AtomicU32::new(0);
-        let nl_ref = &plan.netlist;
-        let finish_ref = &finish;
-        let per_worker: Vec<(Option<TrialOutcome>, Vec<TrialSummary>)> = thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut best: Option<TrialOutcome> = None;
-                        let mut summaries = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= trials {
-                                break;
-                            }
-                            let t = finish_ref(idx, nl_ref.clone());
-                            summaries.push(t.summary.clone());
-                            if best.as_ref().is_none_or(|b| better(&t, b)) {
-                                best = Some(t);
-                            }
-                        }
-                        (best, summaries)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("placement trial panicked"))
-                .collect()
-        });
-        let mut best: Option<TrialOutcome> = None;
-        let mut summaries = Vec::with_capacity(trials as usize);
-        for (wb, ws) in per_worker {
-            summaries.extend(ws);
-            if let Some(t) = wb {
-                if best.as_ref().is_none_or(|b| better(&t, b)) {
-                    best = Some(t);
-                }
-            }
-        }
-        (best, summaries)
-    };
-    summaries.sort_by_key(|s| s.idx);
-    let best = best.expect("at least one placement trial");
+    });
 
     let report = PartitionReport {
         islands: n_islands as u32,
@@ -455,14 +382,14 @@ fn run_partitioned(
             .collect(),
         island_summaries: slots.into_iter().map(|(_, s)| s).collect(),
     };
-    (best.out, summaries, best.idx, report)
+    (best.out, summaries, best.summary.idx, report)
 }
 
 /// Places and optimizes `netlist` with `place_seeds` independent seeds
 /// (streams of `seed` via [`hlsb_rng::derive_seed`]; stream 0 is `seed`
 /// itself) and keeps the best-timing result. Trials run on up to
-/// `threads` scoped threads; a single flat trial consumes the netlist
-/// without cloning.
+/// `threads` workers of the crate's pool; a single trial consumes the
+/// netlist without cloning.
 ///
 /// With `partitions` enabled (and a feasible cut — see `plan_partition`),
 /// the partitioned strategy runs instead and the fourth return value
@@ -500,87 +427,88 @@ pub(crate) fn run(
     let wire = WireModel::for_device(device);
     let trials = place_seeds.max(1);
 
-    if let Some(plan) = plan_partition(&netlist, device, partitions, seams) {
+    if let Some((stitched, plan)) = plan_partition(&netlist, device, partitions, seams) {
         drop(netlist); // the stitched netlist supersedes it
-        let (out, summaries, winner, report) =
-            run_partitioned(plan, device, &wire, anneal, seed, trials, threads, tracer);
+        let (out, summaries, winner, report) = run_partitioned(
+            stitched, plan, device, &wire, anneal, seed, trials, threads, tracer,
+        );
         return (out, summaries, winner, Some(report));
     }
 
-    if trials == 1 {
-        let t = run_trial(netlist, 0, device, &wire, anneal, seed, tracer);
-        return (t.out, vec![t.summary], 0, None);
+    let (best, summaries) = best_of(netlist, trials, threads, |idx, nl| {
+        let start_us = tracer.now_us();
+        let trial_seed = hlsb_rng::derive_seed(seed, u64::from(idx));
+        let placement = place_with(&nl, device, trial_seed, anneal);
+        finish_trial(nl, placement, idx, trial_seed, &wire, start_us, tracer)
+    });
+    (best.out, summaries, best.summary.idx, None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An outcome of trial `idx` with the given period and nothing placed.
+    fn outcome(idx: u32, period_ns: f64) -> TrialOutcome {
+        let summary = TrialSummary {
+            idx,
+            seed: u64::from(idx),
+            period_ns,
+            fmax_mhz: 1000.0 / period_ns,
+            duplicated_regs: 0,
+            retime_moves: 0,
+            hpwl: 0.0,
+            start_us: 0.0,
+            dur_us: 0.0,
+        };
+        TrialOutcome {
+            out: ImplementOutput {
+                netlist: Netlist::new("t"),
+                placement: Placement::from_locs(Vec::new(), 1, 1),
+                timing: TimingReport {
+                    period_ns,
+                    fmax_mhz: summary.fmax_mhz,
+                    critical_path: Vec::new(),
+                    arrival_ns: Vec::new(),
+                },
+                fanout: FanoutOptReport::default(),
+                retime: RetimeReport::default(),
+            },
+            summary,
+        }
     }
 
-    let workers = threads.clamp(1, trials as usize);
-    let (best, mut summaries) = if workers == 1 {
-        let mut best: Option<TrialOutcome> = None;
-        let mut summaries = Vec::with_capacity(trials as usize);
-        let mut source = Some(netlist);
-        for idx in 0..trials {
-            // The last trial consumes the netlist instead of cloning it.
-            let nl = if idx + 1 == trials {
-                source.take().expect("source netlist present")
-            } else {
-                source.as_ref().expect("source netlist present").clone()
-            };
-            let t = run_trial(nl, idx, device, &wire, anneal, seed, tracer);
-            summaries.push(t.summary.clone());
-            if best.as_ref().is_none_or(|b| better(&t, b)) {
-                best = Some(t);
+    const PERIODS: [f64; 4] = [3.0, 2.0, 2.5, 2.0];
+
+    #[test]
+    fn tied_periods_keep_the_lowest_index_in_any_completion_order() {
+        // Every completion order of four trials, two of them tied for
+        // the best period.
+        let orders: Vec<[u32; 4]> = (0..256u32)
+            .map(|c| [c & 3, c >> 2 & 3, c >> 4 & 3, c >> 6 & 3])
+            .filter(|o| (0..4).all(|i| o.contains(&i)))
+            .collect();
+        assert_eq!(orders.len(), 24);
+        for order in orders {
+            let best = Mutex::new(None);
+            for idx in order {
+                keep_best(&best, outcome(idx, PERIODS[idx as usize]));
             }
+            let best = best.into_inner().unwrap().expect("a winner");
+            assert_eq!(best.summary.idx, 1, "completion order {order:?}");
         }
-        (best, summaries)
-    } else {
-        let next = AtomicU32::new(0);
-        let per_worker: Vec<(Option<TrialOutcome>, Vec<TrialSummary>)> = thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut best: Option<TrialOutcome> = None;
-                        let mut summaries = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= trials {
-                                break;
-                            }
-                            let t = run_trial(
-                                netlist.clone(),
-                                idx,
-                                device,
-                                &wire,
-                                anneal,
-                                seed,
-                                tracer,
-                            );
-                            summaries.push(t.summary.clone());
-                            if best.as_ref().is_none_or(|b| better(&t, b)) {
-                                best = Some(t);
-                            }
-                        }
-                        (best, summaries)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("placement trial panicked"))
-                .collect()
-        });
-        let mut best: Option<TrialOutcome> = None;
-        let mut summaries = Vec::with_capacity(trials as usize);
-        for (wb, ws) in per_worker {
-            summaries.extend(ws);
-            if let Some(t) = wb {
-                if best.as_ref().is_none_or(|b| better(&t, b)) {
-                    best = Some(t);
-                }
-            }
+    }
+
+    #[test]
+    fn best_of_returns_summaries_in_trial_order() {
+        for threads in [1, 2, 4] {
+            let (best, summaries) = best_of(Netlist::new("n"), 4, threads, |idx, nl| {
+                assert_eq!(nl.name, "n");
+                outcome(idx, PERIODS[idx as usize])
+            });
+            assert_eq!(best.summary.idx, 1, "threads {threads}");
+            let idxs: Vec<u32> = summaries.iter().map(|s| s.idx).collect();
+            assert_eq!(idxs, [0, 1, 2, 3], "threads {threads}");
         }
-        (best, summaries)
-    };
-    // Deterministic emission order regardless of worker interleaving.
-    summaries.sort_by_key(|s| s.idx);
-    let best = best.expect("at least one placement trial");
-    (best.out, summaries, best.idx, None)
+    }
 }

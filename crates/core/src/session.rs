@@ -10,9 +10,10 @@
 //!   over one design) and the lint pre-pass share them instead of
 //!   re-running unroll/schedule per flow.
 //! * **Parallelism.** Placement trials within one flow, and whole flows
-//!   in [`run_many`](FlowSession::run_many), run on scoped threads. The
-//!   reductions are order-independent, so results are bit-identical to a
-//!   single-threaded run.
+//!   in [`run_many`](FlowSession::run_many), run on the crate's one
+//!   worker pool, inline when the budget is one thread. Neither its
+//!   output order nor the best-trial choice depends on completion
+//!   order, so results are bit-identical to a single-threaded run.
 //! * **Observability.** Every run records one span per stage
 //!   ([`hlsb_trace`]); the flat [`PassTrace`] and the run ledger's stage
 //!   timings are derived from those spans. With [`Flow::trace`] enabled
@@ -29,7 +30,6 @@
 //! Thread budget precedence: [`FlowSession::with_threads`] > the
 //! `HLSB_THREADS` environment variable > [`std::thread::available_parallelism`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
@@ -44,6 +44,7 @@ use crate::error::FlowError;
 use crate::flow::Flow;
 use crate::options::OptimizationOptions;
 use crate::passes::{self, FrontEndArtifact, ScheduleArtifact};
+use crate::pool;
 use crate::result::ImplementationResult;
 use crate::trace::PassTrace;
 use hlsb_sim::{ControlModel, IoTrace, SimOptions, Stimulus, TimedOutcome};
@@ -137,6 +138,19 @@ fn finish_run(tracer: &Tracer, root: SpanGuard, flow: &Flow) -> (PassTrace, Opti
     root.finish();
     let tree = tracer.take_tree();
     (PassTrace::from_span_tree(&tree), flow.trace.then_some(tree))
+}
+
+/// The admission check of every session entry point: a finite, positive
+/// clock target and a design that passes [`verify_design`]. It runs per
+/// flow, outside the cache: a cache hit must never mask an invalid design.
+fn admit(flow: &Flow) -> Result<(), FlowError> {
+    if !(flow.clock_mhz.is_finite() && flow.clock_mhz > 0.0) {
+        return Err(FlowError::BadParameter {
+            what: format!("clock target {} MHz", flow.clock_mhz),
+        });
+    }
+    verify_design(&flow.design)?;
+    Ok(())
 }
 
 /// The output of [`FlowSession::probe`]: the cheap front half of the
@@ -396,46 +410,12 @@ impl FlowSession {
     /// level already saturates the budget); results are bit-identical
     /// either way.
     pub fn run_many(&self, flows: &[Flow]) -> Vec<Result<ImplementationResult, FlowError>> {
-        let outer = self.threads.clamp(1, flows.len().max(1));
-        if outer == 1 {
-            return flows
-                .iter()
-                .map(|f| self.run_pipeline(f, self.threads).map(|(r, _, _)| r))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, Result<ImplementationResult, FlowError>)>> =
-            thread::scope(|s| {
-                let handles: Vec<_> = (0..outer)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= flows.len() {
-                                    break;
-                                }
-                                let r = self.run_pipeline(&flows[i], 1).map(|(r, _, _)| r);
-                                out.push((i, r));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("flow worker panicked"))
-                    .collect()
-            });
-        let mut slots: Vec<Option<Result<ImplementationResult, FlowError>>> =
-            flows.iter().map(|_| None).collect();
-        for (i, r) in per_worker.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every flow produces a result"))
-            .collect()
+        let concurrent = self.threads.min(flows.len()) > 1;
+        let implement_threads = if concurrent { 1 } else { self.threads };
+        pool::map_indexed(self.threads, flows.len(), |i| {
+            self.run_pipeline(&flows[i], implement_threads)
+                .map(|(r, _, _)| r)
+        })
     }
 
     /// Evaluates flows through the backend's result table: each entry is
@@ -540,12 +520,7 @@ impl FlowSession {
         stim: &Stimulus,
         iters_cap: u64,
     ) -> Result<SimulationOutcome, FlowError> {
-        if !(flow.clock_mhz.is_finite() && flow.clock_mhz > 0.0) {
-            return Err(FlowError::BadParameter {
-                what: format!("clock target {} MHz", flow.clock_mhz),
-            });
-        }
-        verify_design(&flow.design)?;
+        admit(flow)?;
         let (tracer, root) = self.flow_root(flow, "simulate");
         let (front_end, schedule, _lint) = self.stage_front_end_and_schedule(flow, &root)?;
         let design = front_end.design(&flow.design);
@@ -608,12 +583,7 @@ impl FlowSession {
     /// Returns a [`FlowError`] for invalid IR or a nonsensical clock
     /// target.
     pub fn probe(&self, flow: &Flow) -> Result<ProbeOutcome, FlowError> {
-        if !(flow.clock_mhz.is_finite() && flow.clock_mhz > 0.0) {
-            return Err(FlowError::BadParameter {
-                what: format!("clock target {} MHz", flow.clock_mhz),
-            });
-        }
-        verify_design(&flow.design)?;
+        admit(flow)?;
         let (tracer, root) = self.flow_root(flow, "probe");
         let verify_rep = self.stage_verify_network(flow, &root)?;
         let (front_end, schedule, lint) = self.stage_front_end_and_schedule(flow, &root)?;
@@ -1094,14 +1064,7 @@ impl FlowSession {
         ),
         FlowError,
     > {
-        if !(flow.clock_mhz.is_finite() && flow.clock_mhz > 0.0) {
-            return Err(FlowError::BadParameter {
-                what: format!("clock target {} MHz", flow.clock_mhz),
-            });
-        }
-        // Verification runs per flow, outside the cache: a cache hit must
-        // never mask an invalid design.
-        verify_design(&flow.design)?;
+        admit(flow)?;
         let (tracer, root) = self.flow_root(flow, "implement");
         let verify_rep = self.stage_verify_network(flow, &root)?;
         let (front_end, schedule, lint) = self.stage_front_end_and_schedule(flow, &root)?;
@@ -1204,11 +1167,10 @@ impl FlowSession {
             &tracer,
         );
         span.attr("trials", u64::from(flow.place_seeds.max(1)));
-        if let Some(t) = trials.iter().find(|t| t.idx == winner) {
-            // Deterministic (pure function of netlist + seed), so safe to
-            // expose as a counter that participates in trace equality.
-            span.attr("winner-hpwl", t.hpwl.round() as u64);
-        }
+        // Deterministic (pure function of netlist + seed), so safe to
+        // expose as a counter that participates in trace equality.
+        // Summaries come back in trial order.
+        span.attr("winner-hpwl", trials[winner as usize].hpwl.round() as u64);
         if let Some(p) = &partition {
             span.attr("islands", u64::from(p.islands));
             span.attr("crossing-registers", u64::from(p.crossing_registers));

@@ -64,21 +64,13 @@ impl DseConfig {
     }
 
     /// Compact human-readable label, e.g. `BS-- @300 ×1 fast` (with a
-    /// `pN`/`pauto` suffix when island partitioning is on): one letter
-    /// per enabled optimization (Broadcast-aware, Sync-pruning, sKid,
-    /// Min-area skid), clock target, placement-seed count, effort,
-    /// partitioning.
+    /// `pN`/`pauto` suffix when island partitioning is on): the toggle
+    /// mask of [`OptimizationOptions`], clock target, placement-seed
+    /// count, effort, partitioning.
     pub fn label(&self) -> String {
         format!(
-            "{}{}{}{} @{:.0} ×{} {}{}",
-            if self.options.broadcast_aware {
-                'B'
-            } else {
-                '-'
-            },
-            if self.options.sync_pruning { 'S' } else { '-' },
-            if self.options.skid_buffer { 'K' } else { '-' },
-            if self.options.min_area_skid { 'M' } else { '-' },
+            "{} @{:.0} ×{} {}{}",
+            self.options,
             self.clock_mhz,
             self.place_seeds,
             self.effort.label(),

@@ -92,21 +92,13 @@ impl ExploreConfig {
             .partitions(self.partitions)
     }
 
-    /// Compact clock-free label, e.g. `BSKM+r1 ×1 fast`: one letter per
-    /// enabled optimization (Broadcast-aware, Sync-pruning, sKid,
-    /// Min-area skid), a `+rB.B` injection suffix when enabled, then
-    /// placement-seed count, effort and partitioning.
+    /// Compact clock-free label, e.g. `BSKM+r1 ×1 fast`: the toggle mask
+    /// of [`OptimizationOptions`], a `+rB.B` injection suffix when
+    /// enabled, then placement-seed count, effort and partitioning.
     pub fn label(&self) -> String {
         format!(
-            "{}{}{}{}{} ×{} {}{}",
-            if self.options.broadcast_aware {
-                'B'
-            } else {
-                '-'
-            },
-            if self.options.sync_pruning { 'S' } else { '-' },
-            if self.options.skid_buffer { 'K' } else { '-' },
-            if self.options.min_area_skid { 'M' } else { '-' },
+            "{}{} ×{} {}{}",
+            self.options,
             if self.inject.is_enabled() {
                 format!("+{}", self.inject.label())
             } else {
@@ -122,9 +114,10 @@ impl ExploreConfig {
     }
 
     /// Parses a configuration spec as accepted by the `explore` CLI:
-    /// a preset (`none`/`base`, `all`/`opt`) or a 4-character toggle mask
-    /// (`BSKM` with `-` for an off toggle, e.g. `B--M`), optionally
-    /// followed by `+rB.B` naming injection boundaries (`all+r1.2`).
+    /// a preset (`none`/`base`, `all`/`opt`) or a toggle mask of
+    /// [`OptimizationOptions`] (`BSKM` with `-` for an off toggle, e.g.
+    /// `B--M`), optionally followed by `+rB.B` naming injection
+    /// boundaries (`all+r1.2`).
     /// Returns `None` for anything else.
     pub fn parse(spec: &str) -> Option<ExploreConfig> {
         let (mask, inject) = match spec.find("+r") {
@@ -134,21 +127,7 @@ impl ExploreConfig {
         let options = match mask {
             "none" | "base" => OptimizationOptions::default(),
             "all" | "opt" => OptimizationOptions::all(),
-            m if m.len() == 4 => {
-                let toggle = |ch: char, on: char| match ch {
-                    c if c == on => Some(true),
-                    '-' => Some(false),
-                    _ => None,
-                };
-                let mut it = m.chars();
-                OptimizationOptions {
-                    broadcast_aware: toggle(it.next()?, 'B')?,
-                    sync_pruning: toggle(it.next()?, 'S')?,
-                    skid_buffer: toggle(it.next()?, 'K')?,
-                    min_area_skid: toggle(it.next()?, 'M')?,
-                }
-            }
-            _ => return None,
+            mask => mask.parse().ok()?,
         };
         Some(ExploreConfig {
             inject,

@@ -6,7 +6,7 @@
 //! then spawns them straight from the target directory. Every case here
 //! fails before a flow runs, so the binaries return in milliseconds.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
@@ -56,8 +56,14 @@ fn bin_dir() -> &'static PathBuf {
 }
 
 fn run(bin: &str, args: &[&str]) -> Output {
+    run_in(bin, args, Path::new("."))
+}
+
+/// Like [`run`], with `dir` as the binary's working directory.
+fn run_in(bin: &str, args: &[&str], dir: &Path) -> Output {
     let output = Command::new(bin_dir().join(bin))
         .args(args)
+        .current_dir(dir)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert_ne!(
@@ -138,4 +144,49 @@ fn wrong_configurations_are_refused_before_any_flow_runs() {
     assert_usage_error("dse", &["--store", path], path);
     std::fs::remove_file(&file).unwrap();
     assert_usage_error("hlsb-serve", &["--wave", "many"], "bad --wave value `many`");
+}
+
+#[test]
+fn write_baseline_dash_writes_stdout_not_a_file() {
+    let dir = std::env::temp_dir().join(format!("hlsb_cli_baseline_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ledger_path = dir.join("ledger.jsonl");
+    let ledger = hlsb_telemetry::RunLedger::open(&ledger_path).expect("open ledger");
+    for wall_ms in [10.0, 12.0, 11.0] {
+        let mut rec = hlsb_telemetry::RunRecord::new("flow", "vector", 1, "ok", wall_ms);
+        rec.add_stage("implement", wall_ms);
+        rec.add_count("jobs", 1);
+        ledger.append(rec).expect("append record");
+    }
+    drop(ledger);
+    let ledger_arg = ledger_path.to_str().expect("utf-8 temp path");
+
+    let output = run_in(
+        "report",
+        &["--ledger", ledger_arg, "--write-baseline", "-"],
+        &dir,
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stdout}\n{stderr}");
+    let baseline = hlsb_telemetry::Baseline::parse(&stdout).expect("stdout is a baseline");
+    assert_eq!(baseline.stages.len(), 1, "{stdout}");
+    assert!(stderr.contains("wrote baseline"), "{stderr}");
+    assert!(!dir.join("-").exists(), "a file named `-` was written");
+
+    // The check report goes to stdout too, so the two cannot share it.
+    assert_usage_error(
+        "report",
+        &[
+            "--ledger",
+            ledger_arg,
+            "--write-baseline",
+            "-",
+            "--baseline",
+            "b",
+        ],
+        "--write-baseline -",
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

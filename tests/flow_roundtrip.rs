@@ -235,13 +235,24 @@ fn parallel_execution_is_bit_identical_to_sequential() {
         assert_eq!(seq, par, "parallel != sequential for {:?}", flow);
     }
     // Single runs with a parallel budget agree too (trial-level threads).
-    let single = FlowSession::with_threads(4);
-    for (flow, seq) in flows.iter().zip(&sequential) {
-        assert_eq!(
-            &single.run(flow).expect("flow"),
-            seq.as_ref().expect("flow")
-        );
+    for threads in [2, 4] {
+        let single = FlowSession::with_threads(threads);
+        for (flow, seq) in flows.iter().zip(&sequential) {
+            assert_eq!(
+                &single.run(flow).expect("flow"),
+                seq.as_ref().expect("flow"),
+                "{threads} threads"
+            );
+        }
     }
+    // Three trials on two workers: one worker runs two trials, and the
+    // winner is reduced across workers.
+    let three = flows[1].clone().place_seeds(3);
+    assert_eq!(
+        FlowSession::with_threads(2).run(&three).expect("flow"),
+        FlowSession::with_threads(1).run(&three).expect("flow"),
+        "three trials on two workers"
+    );
 }
 
 fn traced_equivalence_flows() -> Vec<Flow> {

@@ -6,7 +6,7 @@ use hlsb_delay::HlsPredictedModel;
 use hlsb_fabric::{Device, WireModel};
 use hlsb_ir::unroll::unroll_loop;
 use hlsb_netlist::{Cell, Netlist};
-use hlsb_place::{place_with, AnnealConfig};
+use hlsb_place::{place_with, AnnealConfig, Region, SeedPlacement};
 use hlsb_rtlgen::{lower_design, RtlOptions, ScheduledDesign, ScheduledLoop};
 use hlsb_sched::schedule_loop;
 use hlsb_timing::{optimize_fanout, refine_critical, sta, FanoutOptions, RefineOptions};
@@ -72,6 +72,11 @@ fn main() {
     time_it("place_stencil2_fast", 10, || {
         place_with(&netlist, &device, 7, fast)
     });
+    // Normal effort (the paper settings): ten times the moves, so the
+    // move kernel dominates.
+    time_it("place_stencil2_normal", 10, || {
+        place_with(&netlist, &device, 7, AnnealConfig::default())
+    });
 
     // Annealing cut to a single move, so the levelized seed (and the
     // polish sweeps) are what is timed.
@@ -86,6 +91,10 @@ fn main() {
     time_it("seed_place_broadcast2048", 10, || {
         place_with(&bcast, &device, 7, seed_only)
     });
+    // The same from a shared seed placement: one move and the polish,
+    // where every sink is priced against its 2048-arc driver.
+    let seeded = SeedPlacement::new(&bcast, &device, Region::full(&device));
+    time_it("polish_broadcast2048", 10, || seeded.anneal(7, seed_only));
 
     let placement = place_with(&netlist, &device, 7, fast);
     time_it("sta_stencil2", 10, || sta(&netlist, &placement, &wire));

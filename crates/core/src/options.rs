@@ -4,6 +4,8 @@
 //! of [`OptimizationOptions`] by its `Display`) and read back by its
 //! `FromStr`: every record, job line, report label and command line
 //! goes through these two, so `label().parse()` always round-trips.
+//! The one other form, [`OptimizationOptions::span_label`], is the
+//! write-only long form persisted on trace root spans.
 
 use std::fmt;
 use std::str::FromStr;
@@ -53,6 +55,36 @@ impl OptimizationOptions {
         OptimizationOptions {
             skid_buffer: true,
             ..OptimizationOptions::default()
+        }
+    }
+}
+
+impl OptimizationOptions {
+    /// The options' long form, written on every root span's `options`
+    /// attribute: the enabled optimizations joined by `+`
+    /// (`broadcast-aware+sync-pruning+skid-min-area`), or `none`. The
+    /// min-area toggle shows only with skid buffers on, as `skid-min-area`
+    /// in place of `skid`. Traces are persisted, so the form is frozen;
+    /// everything else spells the options with [`Display`](fmt::Display).
+    pub fn span_label(&self) -> String {
+        let mut parts = Vec::new();
+        if self.broadcast_aware {
+            parts.push("broadcast-aware");
+        }
+        if self.sync_pruning {
+            parts.push("sync-pruning");
+        }
+        if self.skid_buffer {
+            parts.push(if self.min_area_skid {
+                "skid-min-area"
+            } else {
+                "skid"
+            });
+        }
+        if parts.is_empty() {
+            "none".to_string()
+        } else {
+            parts.join("+")
         }
     }
 }
@@ -349,6 +381,33 @@ mod tests {
         assert_eq!(OptimizationOptions::all().to_string(), "BSKM");
         assert_eq!(OptimizationOptions::data_only().to_string(), "B---");
         assert_eq!(Partitioning::Fixed(16).label(), "16");
+    }
+
+    #[test]
+    fn span_labels_are_frozen() {
+        // Written on every persisted root span: byte-identical forever.
+        let expected = [
+            ("----", "none"),
+            ("B---", "broadcast-aware"),
+            ("-S--", "sync-pruning"),
+            ("BS--", "broadcast-aware+sync-pruning"),
+            ("--K-", "skid"),
+            ("B-K-", "broadcast-aware+skid"),
+            ("-SK-", "sync-pruning+skid"),
+            ("BSK-", "broadcast-aware+sync-pruning+skid"),
+            ("---M", "none"),
+            ("B--M", "broadcast-aware"),
+            ("-S-M", "sync-pruning"),
+            ("BS-M", "broadcast-aware+sync-pruning"),
+            ("--KM", "skid-min-area"),
+            ("B-KM", "broadcast-aware+skid-min-area"),
+            ("-SKM", "sync-pruning+skid-min-area"),
+            ("BSKM", "broadcast-aware+sync-pruning+skid-min-area"),
+        ];
+        for (mask, label) in expected {
+            let options: OptimizationOptions = mask.parse().expect("a mask");
+            assert_eq!(options.span_label(), label, "{mask}");
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@ use std::sync::Mutex;
 use hlsb_fabric::{Device, WireModel};
 use hlsb_netlist::{CellId, Netlist, Subgraph};
 use hlsb_place::{
-    auto_islands, max_islands, partition, place_in_region, place_with, reserve_regions,
-    stitch_crossings, AnnealConfig, Placement, Region,
+    auto_islands, max_islands, partition, reserve_regions, stitch_crossings, AnnealConfig,
+    Placement, Region, SeedPlacement,
 };
 use hlsb_timing::{
     fanout_opt::FanoutOptReport, optimize_fanout, refine_critical, retime, retime::RetimeReport,
@@ -233,12 +233,12 @@ fn count_cut_nets(netlist: &Netlist, part: &hlsb_place::Partition) -> usize {
         .count()
 }
 
-/// One phase-A task: place island `island` of trial `trial` in its
-/// reserved region. Pure function of the plan, the base seed and the
-/// slot.
+/// One phase-A task: anneal island `island` of trial `trial` from the
+/// island's seed placement. Pure function of the plan, the base seed and
+/// the slot.
 fn place_island(
     plan: &PartitionPlan,
-    device: &Device,
+    seeds: &[SeedPlacement],
     anneal: AnnealConfig,
     base_seed: u64,
     trial: u32,
@@ -249,13 +249,7 @@ fn place_island(
     let trial_seed = hlsb_rng::derive_seed(base_seed, u64::from(trial));
     let island_seed = hlsb_rng::derive_seed(trial_seed, u64::from(island));
     let sub = &plan.subs[island as usize];
-    let placement = place_in_region(
-        &sub.netlist,
-        device,
-        plan.regions[island as usize],
-        island_seed,
-        anneal,
-    );
+    let placement = seeds[island as usize].anneal(island_seed, anneal);
     let summary = IslandSummary {
         trial,
         island,
@@ -343,13 +337,18 @@ fn run_partitioned(
     let n_islands = plan.subs.len();
     let cells = netlist.cell_count();
 
-    // Phase A: every (trial, island) placement in one pool. Results come
-    // back in slot order, so worker interleaving is invisible.
+    // Phase A: one seed placement per island, then every (trial, island)
+    // anneal in one pool. Results come back in slot order, so worker
+    // interleaving is invisible.
+    let seeds = pool::map_indexed(threads, n_islands, |island| {
+        SeedPlacement::new(&plan.subs[island].netlist, device, plan.regions[island])
+    });
     let slots = pool::map_indexed(threads, trials as usize * n_islands, |slot| {
         let trial = (slot / n_islands) as u32;
         let island = (slot % n_islands) as u32;
-        place_island(&plan, device, anneal, seed, trial, island, tracer)
+        place_island(&plan, &seeds, anneal, seed, trial, island, tracer)
     });
+    drop(seeds);
 
     // Phase B: per-trial merge + global fanout/retime/refine, parallel
     // over trials with the same keep-best reduction as flat mode.
@@ -435,10 +434,13 @@ pub(crate) fn run(
         return (out, summaries, winner, Some(report));
     }
 
+    // The seed placement does not depend on the seed: build it once and
+    // anneal a copy per trial.
+    let seeded = SeedPlacement::new(&netlist, device, Region::full(device));
     let (best, summaries) = best_of(netlist, trials, threads, |idx, nl| {
         let start_us = tracer.now_us();
         let trial_seed = hlsb_rng::derive_seed(seed, u64::from(idx));
-        let placement = place_with(&nl, device, trial_seed, anneal);
+        let placement = seeded.anneal(trial_seed, anneal);
         finish_trial(nl, placement, idx, trial_seed, &wire, start_us, tracer)
     });
     (best.out, summaries, best.summary.idx, None)

@@ -42,7 +42,6 @@ use std::borrow::Cow;
 use crate::cache::{self, ArtifactCache, CacheHit, CacheStats, StageCacheStats};
 use crate::error::FlowError;
 use crate::flow::Flow;
-use crate::options::OptimizationOptions;
 use crate::passes::{self, FrontEndArtifact, ScheduleArtifact};
 use crate::pool;
 use crate::result::ImplementationResult;
@@ -57,29 +56,6 @@ const BROADCAST_FACTOR_BOUNDS: [f64; 8] = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.
 /// Histogram bucket bounds for per-trial slack (`clock period − achieved
 /// period`, ns; negative = the trial missed the target).
 const SLACK_NS_BOUNDS: [f64; 8] = [-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0];
-
-/// Human-readable label of an option set, for the root span.
-fn options_label(o: &OptimizationOptions) -> String {
-    let mut parts = Vec::new();
-    if o.broadcast_aware {
-        parts.push("broadcast-aware");
-    }
-    if o.sync_pruning {
-        parts.push("sync-pruning");
-    }
-    if o.skid_buffer {
-        parts.push(if o.min_area_skid {
-            "skid-min-area"
-        } else {
-            "skid"
-        });
-    }
-    if parts.is_empty() {
-        "none".to_string()
-    } else {
-        parts.join("+")
-    }
-}
 
 /// Copies stage counters onto the stage span as unsigned attributes, in
 /// counter order; [`PassTrace::from_span_tree`] reads them back as the
@@ -487,7 +463,7 @@ impl FlowSession {
             root.attr("mode", mode);
             root.attr("clock-mhz", flow.clock_mhz);
             root.attr("seed", flow.seed);
-            root.attr("options", options_label(&flow.options));
+            root.attr("options", flow.options.span_label());
             root.attr("effort", flow.effort.label());
             root.attr("place-seeds", u64::from(flow.place_seeds));
             root.attr("partitions", flow.partitions.label());

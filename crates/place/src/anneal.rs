@@ -1,12 +1,13 @@
 //! Levelized seed placement + simulated-annealing refinement.
 //!
-//! Both entry points funnel into one region-parameterized core:
-//! [`place_with`] anneals over the full device grid (the classic flat
-//! flow), while [`place_in_region`] confines seeding, annealing moves and
-//! the zero-temperature polish to a reserved [`Region`] — the per-island
-//! mode of partitioned placement (`crate::partition`). The flat path is
-//! the full-grid special case of the region path, so flat results are
-//! bit-identical to what the pre-partitioning placer produced.
+//! Every placement runs through one region-parameterized core,
+//! [`SeedPlacement`]: it builds the levelized seed of a netlist in a
+//! [`Region`] once, and [`SeedPlacement::anneal`] refines a copy of it
+//! per seed — moves and the zero-temperature polish stay in the region.
+//! [`place_with`] is the full-grid case (the classic flat flow) and
+//! [`place_in_region`] the per-island mode of partitioned placement
+//! (`crate::partition`), so flat results are bit-identical to what the
+//! pre-partitioning placer produced.
 
 use crate::placement::{Placement, Region};
 use crate::sites::{site_legal, snap_column_in};
@@ -64,16 +65,7 @@ pub fn place_with(
     seed: u64,
     config: AnnealConfig,
 ) -> Placement {
-    let n = netlist.cell_count();
-    if n == 0 {
-        return Placement::from_locs(Vec::new(), device.grid_w, device.grid_h);
-    }
-    assert!(
-        (n as u64) < u64::from(device.grid_w) * u64::from(device.grid_h) / 2,
-        "netlist ({n} cells) does not fit on {}",
-        device.name
-    );
-    place_impl(netlist, device, Region::full(device), seed, config)
+    SeedPlacement::new(netlist, device, Region::full(device)).anneal(seed, config)
 }
 
 /// Places a netlist inside a reserved region of the device (absolute
@@ -95,48 +87,81 @@ pub fn place_in_region(
     seed: u64,
     config: AnnealConfig,
 ) -> Placement {
-    let n = netlist.cell_count();
-    if n == 0 {
-        return Placement::from_locs(Vec::new(), device.grid_w, device.grid_h);
-    }
-    assert!(
-        u32::from(region.x1()) <= device.grid_w && u32::from(region.y1()) <= device.grid_h,
-        "region {region:?} leaves the {} grid",
-        device.name
-    );
-    assert!(
-        (n as u64) < region.sites() / 2,
-        "island ({n} cells) does not fit in region {region:?}"
-    );
-    place_impl(netlist, device, region, seed, config)
+    SeedPlacement::new(netlist, device, region).anneal(seed, config)
 }
 
-fn place_impl(
-    netlist: &Netlist,
-    device: &Device,
-    bounds: Region,
-    seed: u64,
-    config: AnnealConfig,
-) -> Placement {
-    let n = netlist.cell_count();
-    // Confine small designs to a proportionate region: spreading a tiny
-    // netlist across the whole die (or island across the whole strip)
-    // would fabricate wire delay out of thin air. Real placers pack
-    // designs into a fraction of the fabric too.
-    let side = ((3 * n) as f64).sqrt().ceil() as u16 + 4;
-    let rw = side.max(8).min(bounds.w);
-    let rh = side.max(8).min(bounds.h);
+/// The seed-independent half of a placement: the levelized seed of one
+/// netlist in one region, plus everything the annealer reads and never
+/// writes (neighbour lists, legality classes, column tables). Build it
+/// once per netlist and [`anneal`](SeedPlacement::anneal) it once per
+/// seed. It owns all of its data, so trials on other threads share it
+/// while the netlist itself moves elsewhere.
+#[derive(Debug)]
+pub struct SeedPlacement {
+    wiring: Wiring,
+    /// Side of the seed window: the scale of the first move window.
+    window: u16,
+    placement: Placement,
+    occupancy: Occupancy,
+}
 
-    let mut occupancy = Occupancy::new(bounds);
-    let placement = seed_placement(netlist, device, rw, rh, &mut occupancy);
-    let mut placer = Placer {
-        netlist,
-        neighbours: Neighbours::new(netlist),
-        placement,
-        occupancy,
-    };
-    placer.anneal(rw.max(rh), seed, config);
-    placer.placement
+impl SeedPlacement {
+    /// Seeds `netlist` in `region` (absolute coordinates; the full grid
+    /// for flat placement).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty netlist does not fit in the region (one
+    /// cell per two sites), or if the region leaves the device grid.
+    pub fn new(netlist: &Netlist, device: &Device, region: Region) -> Self {
+        let n = netlist.cell_count();
+        if n > 0 {
+            assert!(
+                u32::from(region.x1()) <= device.grid_w && u32::from(region.y1()) <= device.grid_h,
+                "region {region:?} leaves the {} grid",
+                device.name
+            );
+            assert!(
+                (n as u64) < region.sites() / 2,
+                "netlist ({n} cells) does not fit in region {region:?} of {}",
+                device.name
+            );
+        }
+        // Confine small designs to a proportionate region: spreading a tiny
+        // netlist across the whole die (or island across the whole strip)
+        // would fabricate wire delay out of thin air. Real placers pack
+        // designs into a fraction of the fabric too.
+        let side = ((3 * n) as f64).sqrt().ceil() as u16 + 4;
+        let rw = side.max(8).min(region.w);
+        let rh = side.max(8).min(region.h);
+
+        let wiring = Wiring::new(netlist, region);
+        let mut occupancy = Occupancy::new(region);
+        let placement = seed_placement(netlist, device, &wiring.columns, rw, rh, &mut occupancy);
+        SeedPlacement {
+            wiring,
+            window: rw.max(rh),
+            placement,
+            occupancy,
+        }
+    }
+
+    /// Anneals a copy of the seed with `seed`'s move stream and polishes
+    /// it. Pure function of `(netlist, region, seed, config)`.
+    pub fn anneal(&self, seed: u64, config: AnnealConfig) -> Placement {
+        let mut placer = self.placer();
+        placer.anneal(self.window, seed, config);
+        placer.placement
+    }
+
+    /// A placer starting from a copy of the seed.
+    fn placer(&self) -> Placer<'_> {
+        Placer {
+            wiring: &self.wiring,
+            placement: self.placement.clone(),
+            occupancy: self.occupancy.clone(),
+        }
+    }
 }
 
 /// Marks an empty site in [`Occupancy`].
@@ -145,6 +170,7 @@ const FREE: u32 = u32::MAX;
 /// Site occupancy of a placement region: one slot per site, row-major
 /// from the region's corner, holding the occupant's cell index or
 /// [`FREE`].
+#[derive(Debug, Clone)]
 struct Occupancy {
     bounds: Region,
     slots: Vec<u32>,
@@ -183,7 +209,10 @@ impl Occupancy {
 /// Every cell's wiring neighbours in one flat array (CSR): the sinks of
 /// its output net, then the drivers of its input nets — the far ends of
 /// the arcs whose lengths make up the cell's star wirelength. Repeated
-/// sinks and self-loops appear as often as the netlist lists them.
+/// sinks appear as often as the netlist lists them; self-loops, whose
+/// length never changes, are left out. Adjacency is symmetric: `b`
+/// appears in `a`'s list exactly as often as `a` in `b`'s.
+#[derive(Debug)]
 struct Neighbours {
     start: Vec<u32>,
     cells: Vec<u32>,
@@ -195,14 +224,16 @@ impl Neighbours {
         let mut cells = Vec::new();
         start.push(0);
         for (id, _) in netlist.cells() {
+            let other = |nb: &u32| *nb != id.0;
             if let Some(net) = netlist.output_net(id) {
-                cells.extend(netlist.net(net).sinks.iter().map(|s| s.0));
+                cells.extend(netlist.net(net).sinks.iter().map(|s| s.0).filter(other));
             }
             cells.extend(
                 netlist
                     .input_nets(id)
                     .iter()
-                    .map(|&net| netlist.net(net).driver.0),
+                    .map(|&net| netlist.net(net).driver.0)
+                    .filter(other),
             );
             start.push(cells.len() as u32);
         }
@@ -211,6 +242,99 @@ impl Neighbours {
 
     fn of(&self, cell: CellId) -> &[u32] {
         &self.cells[self.start[cell.index()] as usize..self.start[cell.index() + 1] as usize]
+    }
+
+    /// How often `b` appears in `a`'s list, counted in the shorter of
+    /// the two lists (adjacency is symmetric).
+    fn multiplicity(&self, a: CellId, b: CellId) -> i64 {
+        let (list, of) = if self.of(b).len() <= self.of(a).len() {
+            (self.of(b), a)
+        } else {
+            (self.of(a), b)
+        };
+        list.iter().filter(|&&nb| nb == of.0).count() as i64
+    }
+}
+
+/// One representative kind per legality class: BRAM and DSP cells have
+/// dedicated columns, every other kind shares the logic columns. The
+/// index into this array is the class [`class_of`] returns.
+const CLASS_KINDS: [CellKind; 3] = [CellKind::Bram, CellKind::Dsp, CellKind::Comb];
+
+/// The legality class of a kind: [`site_legal`] and [`snap_column_in`]
+/// depend on a kind through its class alone.
+fn class_of(kind: CellKind) -> u8 {
+    match kind {
+        CellKind::Bram => 0,
+        CellKind::Dsp => 1,
+        _ => 2,
+    }
+}
+
+/// [`snap_column_in`] and [`site_legal`] of each legality class over the
+/// columns of a region, so a move reads two table entries instead of
+/// searching for a legal column.
+#[derive(Debug)]
+struct Columns {
+    x0: u16,
+    w: usize,
+    /// `snap[class * w + x - x0]`: the region's snap of column `x`.
+    snap: Vec<u16>,
+    /// `legal[class * w + x - x0]`: whether column `x` is legal.
+    legal: Vec<bool>,
+}
+
+impl Columns {
+    fn new(bounds: Region) -> Self {
+        let (x0, x1) = (bounds.x0, bounds.x1());
+        let (mut snap, mut legal) = (Vec::new(), Vec::new());
+        for kind in CLASS_KINDS {
+            snap.extend((x0..x1).map(|x| snap_column_in(kind, x, x0, x1)));
+            legal.extend((x0..x1).map(|x| site_legal(kind, x)));
+        }
+        Columns {
+            x0,
+            w: usize::from(bounds.w),
+            snap,
+            legal,
+        }
+    }
+
+    fn at(&self, class: u8, x: u16) -> usize {
+        debug_assert!(
+            usize::from(x - self.x0) < self.w,
+            "column {x} outside region"
+        );
+        usize::from(class) * self.w + usize::from(x - self.x0)
+    }
+
+    /// `snap_column_in` for column `x` of the region.
+    fn snap(&self, class: u8, x: u16) -> u16 {
+        self.snap[self.at(class, x)]
+    }
+
+    /// `site_legal` for column `x` of the region.
+    fn legal(&self, class: u8, x: u16) -> bool {
+        self.legal[self.at(class, x)]
+    }
+}
+
+/// What every anneal of one netlist in one region reads and none writes.
+#[derive(Debug)]
+struct Wiring {
+    neighbours: Neighbours,
+    /// Each cell's legality class.
+    class: Vec<u8>,
+    columns: Columns,
+}
+
+impl Wiring {
+    fn new(netlist: &Netlist, bounds: Region) -> Self {
+        Wiring {
+            neighbours: Neighbours::new(netlist),
+            class: netlist.cells().map(|(_, c)| class_of(c.kind)).collect(),
+            columns: Columns::new(bounds),
+        }
     }
 }
 
@@ -236,6 +360,7 @@ fn levels(netlist: &Netlist) -> Vec<u32> {
 fn seed_placement(
     netlist: &Netlist,
     device: &Device,
+    columns: &Columns,
     rw: u16,
     rh: u16,
     occupancy: &mut Occupancy,
@@ -251,7 +376,7 @@ fn seed_placement(
     for (id, cell) in netlist.cells() {
         let frac = level[id.index()] as f64 / max_level as f64;
         let x = bounds.x0 + (frac * f64::from(rw - 1)).round() as u16;
-        let x = snap_column_in(cell.kind, x, bounds.x0, bounds.x1());
+        let x = columns.snap(class_of(cell.kind), x);
         by_col.entry(x).or_default().push(id);
     }
 
@@ -304,31 +429,68 @@ fn free_site_near(kind: CellKind, want: (u16, u16), occupancy: &Occupancy) -> (u
 
 /// Grid distance between two sites (the integer behind
 /// [`Placement::dist`]).
-fn manhattan(a: (u16, u16), b: (u16, u16)) -> i64 {
-    i64::from(a.0.abs_diff(b.0)) + i64::from(a.1.abs_diff(b.1))
+fn manhattan(a: (u16, u16), b: (u16, u16)) -> i32 {
+    i32::from(a.0.abs_diff(b.0)) + i32::from(a.1.abs_diff(b.1))
 }
 
-/// The mutable state of one placement: cell locations, the region's site
-/// occupancy, and the neighbour lists the move deltas read.
+/// Uphill deltas below this bound read their acceptance probability
+/// from [`Acceptance`]'s table.
+const ACCEPT_TABLE: usize = 128;
+
+/// The Metropolis acceptance probability `exp(-d / temp)` of an uphill
+/// delta `d` at one batch's temperature. Small integer deltas are
+/// computed on first use and then read from a table — the same
+/// expression, so the same bits — and a batch that never sees a delta
+/// computes nothing for it.
+struct Acceptance {
+    temp: f64,
+    /// `exp(-d / temp)` of delta `d`, or `-1.0` before first use.
+    table: [f64; ACCEPT_TABLE],
+}
+
+impl Acceptance {
+    fn new(temp: f64) -> Self {
+        Acceptance {
+            temp,
+            table: [-1.0; ACCEPT_TABLE],
+        }
+    }
+
+    fn prob(&mut self, delta: i64) -> f64 {
+        let temp = self.temp;
+        let direct = |d: i64| (-(d as f64) / temp).exp();
+        match self.table.get_mut(delta as usize) {
+            Some(p) => {
+                if *p < 0.0 {
+                    *p = direct(delta);
+                }
+                *p
+            }
+            None => direct(delta),
+        }
+    }
+}
+
+/// The mutable state of one placement: cell locations and the region's
+/// site occupancy, over the shared [`Wiring`].
 struct Placer<'a> {
-    netlist: &'a Netlist,
-    neighbours: Neighbours,
+    wiring: &'a Wiring,
     placement: Placement,
     occupancy: Occupancy,
 }
 
 impl Placer<'_> {
     /// Exact change of the star wirelength around `cell` when it moves
-    /// from `from` to `to` while its neighbours stay put. Arcs to `cell`
-    /// itself (self-loops) and to `partner` — the cell trading places with
-    /// it, or `cell` again for a plain move — keep their length and are
-    /// skipped.
+    /// from `from` to `to` while its neighbours stay put. Arcs to
+    /// `partner` — the cell trading places with it, or `cell` itself for
+    /// a plain move, which never appears in its own list — keep their
+    /// length and are skipped.
     fn shift_delta(&self, cell: CellId, partner: CellId, from: (u16, u16), to: (u16, u16)) -> i64 {
-        let mut delta = 0;
-        for &nb in self.neighbours.of(cell) {
-            if nb != cell.0 && nb != partner.0 {
+        let mut delta = 0i64;
+        for &nb in self.wiring.neighbours.of(cell) {
+            if nb != partner.0 {
                 let at = self.placement.loc(CellId(nb));
-                delta += manhattan(to, at) - manhattan(from, at);
+                delta += i64::from(manhattan(to, at) - manhattan(from, at));
             }
         }
         delta
@@ -365,11 +527,14 @@ impl Placer<'_> {
     }
 
     fn anneal(&mut self, region: u16, seed: u64, config: AnnealConfig) {
-        let n = self.netlist.cell_count();
+        let Wiring { class, columns, .. } = self.wiring;
+        let n = class.len();
         if n < 2 {
             return;
         }
         let bounds = self.occupancy.bounds;
+        let (x_lo, x_hi) = (i64::from(bounds.x0), i64::from(bounds.x1()) - 1);
+        let (y_lo, y_hi) = (i64::from(bounds.y0), i64::from(bounds.y1()) - 1);
         let mut rng = Rng::seed_from_u64(seed);
         let total_moves = (config.moves_per_cell as usize * n)
             .clamp(config.min_moves as usize, config.max_moves as usize);
@@ -382,29 +547,26 @@ impl Placer<'_> {
         let mut window = (f64::from(region) * 0.3).max(6.0);
 
         for _ in 0..config.batches {
+            let w = i64::from(window.max(2.0) as i32);
+            let mut accept = Acceptance::new(temp);
             for _ in 0..moves_per_batch {
                 let a = CellId(rng.gen_index(n) as u32);
-                let kind_a = self.netlist.cell(a).kind;
+                let class_a = class[a.index()];
                 let (ax, ay) = self.placement.loc(a);
-                let w = i64::from(window.max(2.0) as i32);
-                let tx = (i64::from(ax) + rng.gen_i64(-w, w))
-                    .clamp(i64::from(bounds.x0), i64::from(bounds.x1()) - 1)
-                    as u16;
-                let ty = (i64::from(ay) + rng.gen_i64(-w, w))
-                    .clamp(i64::from(bounds.y0), i64::from(bounds.y1()) - 1)
-                    as u16;
-                let target = (snap_column_in(kind_a, tx, bounds.x0, bounds.x1()), ty);
-                if target == (ax, ay) || !site_legal(kind_a, target.0) {
+                let tx = (i64::from(ax) + rng.gen_i64(-w, w)).clamp(x_lo, x_hi) as u16;
+                let ty = (i64::from(ay) + rng.gen_i64(-w, w)).clamp(y_lo, y_hi) as u16;
+                let target = (columns.snap(class_a, tx), ty);
+                if target == (ax, ay) || !columns.legal(class_a, target.0) {
                     continue;
                 }
 
                 let other = self.occupancy.get(target);
                 // Swap legality: the occupant must be allowed at a's site.
-                if other.is_some_and(|b| !site_legal(self.netlist.cell(b).kind, ax)) {
+                if other.is_some_and(|b| !columns.legal(class[b.index()], ax)) {
                     continue;
                 }
-                let delta = self.move_delta(a, other, (ax, ay), target) as f64;
-                if delta <= 0.0 || rng.gen_f64() < (-delta / temp).exp() {
+                let delta = self.move_delta(a, other, (ax, ay), target);
+                if delta <= 0 || rng.gen_f64() < accept.prob(delta) {
                     self.relocate(a, other, (ax, ay), target);
                 }
             }
@@ -420,13 +582,17 @@ impl Placer<'_> {
     /// or a swap with the occupant — is taken when total adjacent
     /// wirelength drops. This kills the distance *outliers* annealing
     /// leaves behind, which otherwise set the critical path of deep
-    /// pipelines.
+    /// pipelines. Heavy cells are priced through [`StarSums`], so a
+    /// broadcast's sinks trading places with its driver cost O(log W)
+    /// each instead of a walk over all of the driver's arcs.
     fn polish(&mut self) {
+        let Wiring { class, columns, .. } = self.wiring;
+        let mut sums = StarSums::new(self);
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for _sweep in 0..3 {
             let mut improved = false;
-            for (a, cell) in self.netlist.cells() {
-                let Some(target) = self.median_site(a, cell.kind, &mut xs, &mut ys) else {
+            for a in (0..class.len() as u32).map(CellId) {
+                let Some(target) = self.median_site(a, &mut xs, &mut ys) else {
                     continue;
                 };
                 let old = self.placement.loc(a);
@@ -434,10 +600,11 @@ impl Placer<'_> {
                     continue;
                 }
                 let other = self.occupancy.get(target);
-                if other.is_some_and(|b| !site_legal(self.netlist.cell(b).kind, old.0)) {
+                if other.is_some_and(|b| !columns.legal(class[b.index()], old.0)) {
                     continue;
                 }
-                if self.move_delta(a, other, old, target) < 0 {
+                if sums.move_delta(self, a, other, old, target) < 0 {
+                    sums.relocate(a, other, old, target);
                     self.relocate(a, other, old, target);
                     improved = true;
                 }
@@ -453,28 +620,244 @@ impl Placer<'_> {
     fn median_site(
         &self,
         cell: CellId,
-        kind: CellKind,
         xs: &mut Vec<u16>,
         ys: &mut Vec<u16>,
     ) -> Option<(u16, u16)> {
         xs.clear();
         ys.clear();
-        for &nb in self.neighbours.of(cell) {
-            if nb != cell.0 {
-                let (x, y) = self.placement.loc(CellId(nb));
-                xs.push(x);
-                ys.push(y);
-            }
+        for &nb in self.wiring.neighbours.of(cell) {
+            let (x, y) = self.placement.loc(CellId(nb));
+            xs.push(x);
+            ys.push(y);
         }
         if xs.is_empty() {
             return None;
         }
-        xs.sort_unstable();
-        ys.sort_unstable();
+        // The upper median, in O(degree).
+        let mid = xs.len() / 2;
+        let x = *xs.select_nth_unstable(mid).1;
+        let y = *ys.select_nth_unstable(mid).1;
         let bounds = self.occupancy.bounds;
-        let x = snap_column_in(kind, xs[xs.len() / 2], bounds.x0, bounds.x1());
-        Some((x, ys[ys.len() / 2].clamp(bounds.y0, bounds.y1() - 1)))
+        let x = self.wiring.columns.snap(self.wiring.class[cell.index()], x);
+        Some((x, y.clamp(bounds.y0, bounds.y1() - 1)))
     }
+}
+
+/// Neighbour count from which the polish prices a cell's arcs through
+/// [`StarSums`] instead of one arc at a time.
+const HEAVY: usize = 32;
+
+/// Marks a cell without trees in [`StarSums::tree_of`].
+const LIGHT: u32 = u32::MAX;
+
+/// Exact star distances of the polish's heavy cells. For each cell with
+/// at least [`HEAVY`] neighbours, Fenwick trees of `(count, coordinate
+/// sum)` over the region's columns and rows hold where its neighbours
+/// sit, so `Σ |q − p|` over all of its arcs costs O(log W) instead of
+/// O(degree). Built when the polish starts and kept current through a
+/// reverse index as polish moves are taken.
+struct StarSums {
+    x0: u16,
+    y0: u16,
+    /// Region width: the column trees' length.
+    w: usize,
+    /// Column tree plus row tree: one heavy cell's block in `trees`.
+    stride: usize,
+    /// Each cell's heavy index, or [`LIGHT`].
+    tree_of: Vec<u32>,
+    /// One block of `stride` Fenwick entries per heavy cell: its
+    /// columns, then its rows.
+    trees: Vec<[i64; 2]>,
+    /// Per heavy cell: neighbour count, x sum, y sum.
+    totals: Vec<[i64; 3]>,
+    /// Reverse index (CSR by cell): the heavy cells whose list holds the
+    /// cell, with its multiplicity there.
+    rev_start: Vec<u32>,
+    rev: Vec<(u32, i64)>,
+}
+
+impl StarSums {
+    fn new(placer: &Placer<'_>) -> Self {
+        let neighbours = &placer.wiring.neighbours;
+        let bounds = placer.occupancy.bounds;
+        let w = usize::from(bounds.w);
+        let stride = w + usize::from(bounds.h);
+        let n = placer.wiring.class.len();
+        let mut tree_of = vec![LIGHT; n];
+        let (mut trees, mut totals, mut arcs) = (Vec::new(), Vec::new(), Vec::new());
+        for (cell, heavy) in tree_of.iter_mut().enumerate() {
+            let list = neighbours.of(CellId(cell as u32));
+            if list.len() < HEAVY {
+                continue;
+            }
+            let t = totals.len() as u32;
+            *heavy = t;
+            trees.resize(trees.len() + stride, [0, 0]);
+            let (cols, rows) = trees[t as usize * stride..].split_at_mut(w);
+            let mut total = [list.len() as i64, 0, 0];
+            for &nb in list {
+                let (x, y) = placer.placement.loc(CellId(nb));
+                add_at(&mut cols[usize::from(x - bounds.x0)], 1, x);
+                add_at(&mut rows[usize::from(y - bounds.y0)], 1, y);
+                total[1] += i64::from(x);
+                total[2] += i64::from(y);
+                arcs.push((nb, t));
+            }
+            fenwick_build(cols);
+            fenwick_build(rows);
+            totals.push(total);
+        }
+        // Runs of equal (cell, heavy) arcs become one entry with their
+        // length as multiplicity; cells without entries repeat the
+        // previous start.
+        arcs.sort_unstable();
+        let mut rev_start = vec![0u32; n + 1];
+        let mut rev = Vec::new();
+        for run in arcs.chunk_by(|a, b| a == b) {
+            let (cell, t) = run[0];
+            rev.push((t, run.len() as i64));
+            rev_start[cell as usize + 1] = rev.len() as u32;
+        }
+        for i in 1..=n {
+            rev_start[i] = rev_start[i].max(rev_start[i - 1]);
+        }
+        StarSums {
+            x0: bounds.x0,
+            y0: bounds.y0,
+            w,
+            stride,
+            tree_of,
+            trees,
+            totals,
+            rev_start,
+            rev,
+        }
+    }
+
+    /// `Σ |q − p|` over the sites `p` of heavy cell `t`'s neighbours,
+    /// with `q` a site of the region.
+    fn star(&self, t: u32, q: (u16, u16)) -> i64 {
+        let [count, sum_x, sum_y] = self.totals[t as usize];
+        let (cols, rows) = self.trees[t as usize * self.stride..][..self.stride].split_at(self.w);
+        axis_distance(cols, usize::from(q.0 - self.x0), q.0, count, sum_x)
+            + axis_distance(rows, usize::from(q.1 - self.y0), q.1, count, sum_y)
+    }
+
+    /// [`Placer::shift_delta`], through the trees when `cell` is heavy:
+    /// the change of its star distance, less the arcs to `partner`,
+    /// whose length the swap keeps.
+    fn shift_delta(
+        &self,
+        placer: &Placer<'_>,
+        cell: CellId,
+        partner: CellId,
+        from: (u16, u16),
+        to: (u16, u16),
+    ) -> i64 {
+        let t = self.tree_of[cell.index()];
+        if t == LIGHT {
+            return placer.shift_delta(cell, partner, from, to);
+        }
+        let mut delta = self.star(t, to) - self.star(t, from);
+        if partner != cell {
+            let m = placer.wiring.neighbours.multiplicity(cell, partner);
+            if m > 0 {
+                let at = placer.placement.loc(partner);
+                delta -= m * i64::from(manhattan(to, at) - manhattan(from, at));
+            }
+        }
+        delta
+    }
+
+    /// [`Placer::move_delta`], priced through the trees.
+    fn move_delta(
+        &self,
+        placer: &Placer<'_>,
+        a: CellId,
+        b: Option<CellId>,
+        from: (u16, u16),
+        to: (u16, u16),
+    ) -> i64 {
+        match b {
+            Some(b) => {
+                self.shift_delta(placer, a, b, from, to) + self.shift_delta(placer, b, a, to, from)
+            }
+            None => self.shift_delta(placer, a, a, from, to),
+        }
+    }
+
+    /// Records [`Placer::relocate`]'s move in every tree that holds `a`
+    /// or `b`.
+    fn relocate(&mut self, a: CellId, b: Option<CellId>, from: (u16, u16), to: (u16, u16)) {
+        self.shift(a, from, to);
+        if let Some(b) = b {
+            self.shift(b, to, from);
+        }
+    }
+
+    fn shift(&mut self, cell: CellId, from: (u16, u16), to: (u16, u16)) {
+        let span = self.rev_start[cell.index()] as usize..self.rev_start[cell.index() + 1] as usize;
+        for &(t, m) in &self.rev[span] {
+            let block = &mut self.trees[t as usize * self.stride..][..self.stride];
+            let (cols, rows) = block.split_at_mut(self.w);
+            fenwick_add(cols, usize::from(from.0 - self.x0), -m, from.0);
+            fenwick_add(cols, usize::from(to.0 - self.x0), m, to.0);
+            fenwick_add(rows, usize::from(from.1 - self.y0), -m, from.1);
+            fenwick_add(rows, usize::from(to.1 - self.y0), m, to.1);
+            let total = &mut self.totals[t as usize];
+            total[1] += m * (i64::from(to.0) - i64::from(from.0));
+            total[2] += m * (i64::from(to.1) - i64::from(from.1));
+        }
+    }
+}
+
+/// `Σ |q − pᵢ|` along one axis from its Fenwick tree of `(count,
+/// coordinate sum)`: `i` is `q`'s index in the tree, `count` and `sum`
+/// the totals over the whole axis.
+fn axis_distance(tree: &[[i64; 2]], i: usize, q: u16, count: i64, sum: i64) -> i64 {
+    let [below, below_sum] = fenwick_prefix(tree, i);
+    let q = i64::from(q);
+    (q * below - below_sum) + (sum - below_sum - q * (count - below))
+}
+
+/// Adds `m` points at coordinate `coord` to one `(count, sum)` entry.
+fn add_at(entry: &mut [i64; 2], m: i64, coord: u16) {
+    entry[0] += m;
+    entry[1] += m * i64::from(coord);
+}
+
+/// Turns per-index entries into a Fenwick tree in place, in O(len):
+/// entry `k - 1` covers the one-based indices `(k - lowbit(k), k]`.
+fn fenwick_build(tree: &mut [[i64; 2]]) {
+    for k in 1..=tree.len() {
+        let parent = k + (k & k.wrapping_neg());
+        if parent <= tree.len() {
+            let [c, s] = tree[k - 1];
+            tree[parent - 1][0] += c;
+            tree[parent - 1][1] += s;
+        }
+    }
+}
+
+/// Adds `m` points at coordinate `coord`, index `i`.
+fn fenwick_add(tree: &mut [[i64; 2]], i: usize, m: i64, coord: u16) {
+    let mut k = i + 1;
+    while k <= tree.len() {
+        add_at(&mut tree[k - 1], m, coord);
+        k += k & k.wrapping_neg();
+    }
+}
+
+/// `(count, sum)` over indices `0..=i`.
+fn fenwick_prefix(tree: &[[i64; 2]], i: usize) -> [i64; 2] {
+    let mut acc = [0, 0];
+    let mut k = i + 1;
+    while k > 0 {
+        acc[0] += tree[k - 1][0];
+        acc[1] += tree[k - 1][1];
+        k &= k - 1;
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -786,23 +1169,22 @@ mod tests {
         }
     }
 
-    /// A placer over `nl` with every cell on a distinct random site of
-    /// `bounds`.
-    fn scattered<'a>(nl: &'a Netlist, bounds: Region, rng: &mut Rng) -> Placer<'a> {
+    /// A placer over `wiring` with every cell on a distinct random site
+    /// of `bounds`.
+    fn scattered<'a>(wiring: &'a Wiring, bounds: Region, rng: &mut Rng) -> Placer<'a> {
         let mut sites: Vec<(u16, u16)> = (bounds.y0..bounds.y1())
             .flat_map(|y| (bounds.x0..bounds.x1()).map(move |x| (x, y)))
             .collect();
         for i in (1..sites.len()).rev() {
             sites.swap(i, rng.gen_index(i + 1));
         }
-        sites.truncate(nl.cell_count());
+        sites.truncate(wiring.class.len());
         let mut occupancy = Occupancy::new(bounds);
         for (i, &loc) in sites.iter().enumerate() {
             occupancy.put(loc, CellId(i as u32));
         }
         Placer {
-            netlist: nl,
-            neighbours: Neighbours::new(nl),
+            wiring,
             placement: Placement::from_locs(sites, 200, 200),
             occupancy,
         }
@@ -810,8 +1192,13 @@ mod tests {
 
     /// `after − before` of the old full adjacent costs for moving `a` to
     /// `to`, swapping with the occupant `b`.
-    fn reference_delta(placer: &Placer<'_>, a: CellId, b: Option<CellId>, to: (u16, u16)) -> f64 {
-        let nl = placer.netlist;
+    fn reference_delta(
+        nl: &Netlist,
+        placer: &Placer<'_>,
+        a: CellId,
+        b: Option<CellId>,
+        to: (u16, u16),
+    ) -> f64 {
         let cost =
             |p: &Placement| adjacent_cost(nl, p, a) + b.map_or(0.0, |b| adjacent_cost(nl, p, b));
         let before = cost(&placer.placement);
@@ -849,24 +1236,57 @@ mod tests {
                     .collect();
                 nl.connect(CellId(d as u32), &sinks);
             }
-            let mut placer = scattered(&nl, bounds, &mut rng);
+            // A broadcast hub heavy enough for the polish's trees: 64+
+            // sinks drawn with repeats, and a self-loop.
+            let hub = CellId(rng.gen_index(n) as u32);
+            let hub_sinks: Vec<CellId> = (0..64 + rng.gen_index(16))
+                .map(|_| CellId(rng.gen_index(n) as u32))
+                .chain([hub])
+                .collect();
+            nl.connect(hub, &hub_sinks);
+            let wiring = Wiring::new(&nl, bounds);
+            let mut placer = scattered(&wiring, bounds, &mut rng);
+            let mut sums = StarSums::new(&placer);
+            assert_ne!(
+                sums.tree_of[hub.index()],
+                LIGHT,
+                "seed {seed}: hub is heavy"
+            );
             for _ in 0..300 {
-                let a = CellId(rng.gen_index(n) as u32);
+                let (a, to) = if rng.gen_bool(0.3) {
+                    // A driver <-> sink swap across the hub, either way.
+                    let sink = hub_sinks[rng.gen_index(hub_sinks.len())];
+                    let (a, b) = if rng.gen_bool(0.5) {
+                        (hub, sink)
+                    } else {
+                        (sink, hub)
+                    };
+                    (a, placer.placement.loc(b))
+                } else {
+                    let to = (
+                        bounds.x0 + rng.gen_index(usize::from(bounds.w)) as u16,
+                        bounds.y0 + rng.gen_index(usize::from(bounds.h)) as u16,
+                    );
+                    (CellId(rng.gen_index(n) as u32), to)
+                };
                 let from = placer.placement.loc(a);
-                let to = (
-                    bounds.x0 + rng.gen_index(usize::from(bounds.w)) as u16,
-                    bounds.y0 + rng.gen_index(usize::from(bounds.h)) as u16,
-                );
                 if to == from {
                     continue;
                 }
                 let b = placer.occupancy.get(to);
+                let reference = reference_delta(&nl, &placer, a, b, to);
                 assert_eq!(
                     placer.move_delta(a, b, from, to) as f64,
-                    reference_delta(&placer, a, b, to),
+                    reference,
                     "seed {seed}: {a} {from:?} -> {to:?} (occupant {b:?})"
                 );
+                assert_eq!(
+                    sums.move_delta(&placer, a, b, from, to) as f64,
+                    reference,
+                    "seed {seed}: priced by trees, {a} {from:?} -> {to:?} (occupant {b:?})"
+                );
                 if rng.gen_bool(0.5) {
+                    sums.relocate(a, b, from, to);
                     placer.relocate(a, b, from, to);
                 }
             }
@@ -888,13 +1308,14 @@ mod tests {
             w: 6,
             h: 6,
         };
-        let mut placer = scattered(&nl, bounds, &mut Rng::seed_from_u64(1));
+        let wiring = Wiring::new(&nl, bounds);
+        let mut placer = scattered(&wiring, bounds, &mut Rng::seed_from_u64(1));
         for (a, b) in [(d, s), (s, d), (d, t), (s, t), (t, d)] {
             // A swap of every pair, including a driver with its own sink.
             let (from, to) = (placer.placement.loc(a), placer.placement.loc(b));
             assert_eq!(
                 placer.move_delta(a, Some(b), from, to) as f64,
-                reference_delta(&placer, a, Some(b), to),
+                reference_delta(&nl, &placer, a, Some(b), to),
                 "swap {a} <-> {b}"
             );
             // And a plain move of `a` to every free site.
@@ -903,13 +1324,271 @@ mod tests {
                     if placer.occupancy.get((x, y)).is_none() {
                         assert_eq!(
                             placer.move_delta(a, None, from, (x, y)) as f64,
-                            reference_delta(&placer, a, None, (x, y)),
+                            reference_delta(&nl, &placer, a, None, (x, y)),
                             "move {a} -> ({x}, {y})"
                         );
                     }
                 }
             }
             placer.relocate(a, Some(b), from, to);
+        }
+    }
+
+    /// The narrow regions of `ring_walk_matches_square_scan` plus each
+    /// device's full grid.
+    fn column_table_regions() -> Vec<Region> {
+        let mut regions = vec![
+            Region {
+                x0: 0,
+                y0: 0,
+                w: 48,
+                h: 40,
+            },
+            Region {
+                x0: 7,
+                y0: 0,
+                w: 12,
+                h: 90,
+            },
+            // Narrower than a column period: no BRAM or DSP column, so
+            // the snap falls back to the clamped column.
+            Region {
+                x0: 33,
+                y0: 17,
+                w: 3,
+                h: 25,
+            },
+            Region {
+                x0: 40,
+                y0: 5,
+                w: 30,
+                h: 1,
+            },
+        ];
+        regions.extend(
+            [
+                Device::ultrascale_plus_vu9p(),
+                Device::zynq_zc706(),
+                Device::alveo_u50(),
+                Device::virtex7(),
+            ]
+            .iter()
+            .map(Region::full),
+        );
+        regions
+    }
+
+    #[test]
+    fn column_tables_match_site_rules() {
+        for bounds in column_table_regions() {
+            let columns = Columns::new(bounds);
+            for kind in ALL_KINDS {
+                let class = class_of(kind);
+                for x in bounds.x0..bounds.x1() {
+                    assert_eq!(
+                        columns.snap(class, x),
+                        snap_column_in(kind, x, bounds.x0, bounds.x1()),
+                        "{kind:?} snap of column {x} in {bounds:?}"
+                    );
+                    assert_eq!(
+                        columns.legal(class, x),
+                        site_legal(kind, x),
+                        "{kind:?} legality of column {x} in {bounds:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn acceptance_table_matches_direct_formula() {
+        let fast = AnnealConfig {
+            moves_per_cell: 12,
+            min_moves: 3_000,
+            max_moves: 60_000,
+            cooling: 0.8,
+            batches: 25,
+        };
+        for config in [AnnealConfig::default(), fast] {
+            let mut temp = 2.0;
+            for batch in 0..config.batches {
+                let mut accept = Acceptance::new(temp);
+                // Twice: the first pass fills the table, the second reads it.
+                for _ in 0..2 {
+                    for d in 1..ACCEPT_TABLE as i64 + 8 {
+                        assert_eq!(
+                            accept.prob(d).to_bits(),
+                            (-(d as f64) / temp).exp().to_bits(),
+                            "delta {d} in batch {batch} at temperature {temp}"
+                        );
+                    }
+                }
+                temp *= config.cooling;
+            }
+        }
+    }
+
+    /// The polish the trees replaced: every arc priced one at a time,
+    /// legality and snap read from the netlist's kinds.
+    fn polish_per_arc(nl: &Netlist, placer: &mut Placer<'_>) {
+        let bounds = placer.occupancy.bounds;
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for _sweep in 0..3 {
+            let mut improved = false;
+            for (a, cell) in nl.cells() {
+                xs.clear();
+                ys.clear();
+                for &net in nl.output_net(a).iter() {
+                    for &s in &nl.net(net).sinks {
+                        if s != a {
+                            xs.push(placer.placement.loc(s).0);
+                            ys.push(placer.placement.loc(s).1);
+                        }
+                    }
+                }
+                for &net in nl.input_nets(a) {
+                    let d = nl.net(net).driver;
+                    if d != a {
+                        xs.push(placer.placement.loc(d).0);
+                        ys.push(placer.placement.loc(d).1);
+                    }
+                }
+                if xs.is_empty() {
+                    continue;
+                }
+                xs.sort_unstable();
+                ys.sort_unstable();
+                let x = snap_column_in(cell.kind, xs[xs.len() / 2], bounds.x0, bounds.x1());
+                let target = (x, ys[ys.len() / 2].clamp(bounds.y0, bounds.y1() - 1));
+                let old = placer.placement.loc(a);
+                if target == old {
+                    continue;
+                }
+                let other = placer.occupancy.get(target);
+                if other.is_some_and(|b| !site_legal(nl.cell(b).kind, old.0)) {
+                    continue;
+                }
+                if placer.move_delta(a, other, old, target) < 0 {
+                    placer.relocate(a, other, old, target);
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    /// Polishes a copy of `placer`'s state both ways and compares.
+    fn assert_polish_matches_per_arc(nl: &Netlist, placer: &Placer<'_>, what: &str) {
+        let copy = || Placer {
+            wiring: placer.wiring,
+            placement: placer.placement.clone(),
+            occupancy: placer.occupancy.clone(),
+        };
+        let (mut fast, mut reference) = (copy(), copy());
+        fast.polish();
+        polish_per_arc(nl, &mut reference);
+        assert_eq!(fast.placement, reference.placement, "{what}");
+        assert_eq!(fast.occupancy.slots, reference.occupancy.slots, "{what}");
+    }
+
+    #[test]
+    fn polish_matches_per_arc_polish_on_a_broadcast() {
+        // The 2048-sink broadcast of the physical bench, from its seed.
+        let mut nl = Netlist::new("broadcast");
+        let src = nl.add_cell(Cell::ff("src", 32));
+        let sinks: Vec<_> = (0..2048)
+            .map(|i| nl.add_cell(Cell::comb(format!("s{i}"), 32, 0.4, 32)))
+            .collect();
+        nl.connect(src, &sinks);
+        let d = Device::ultrascale_plus_vu9p();
+        let seeded = SeedPlacement::new(&nl, &d, Region::full(&d));
+        assert_polish_matches_per_arc(&nl, &seeded.placer(), "broadcast2048");
+    }
+
+    #[test]
+    fn polish_matches_per_arc_polish_on_random_netlists() {
+        let bounds = Region {
+            x0: 2,
+            y0: 1,
+            w: 24,
+            h: 20,
+        };
+        for seed in 0..16 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let n = 150;
+            let mut nl = Netlist::new("random");
+            for i in 0..n {
+                nl.add_cell(match i % 13 {
+                    0 => Cell::bram(format!("b{i}"), 8, 1),
+                    1 => Cell::dsp(format!("d{i}"), 8, 1.0, 1),
+                    _ => Cell::comb(format!("c{i}"), 8, 0.3, 8),
+                });
+            }
+            for d in 0..n {
+                // Mostly small nets, some broadcasts past the heavy
+                // threshold; repeats and self-loops included.
+                let fanout = if rng.gen_bool(0.05) {
+                    HEAVY + rng.gen_index(60)
+                } else {
+                    1 + rng.gen_index(5)
+                };
+                let sinks: Vec<CellId> = (0..fanout)
+                    .map(|_| CellId(rng.gen_index(n) as u32))
+                    .collect();
+                nl.connect(CellId(d as u32), &sinks);
+            }
+            let wiring = Wiring::new(&nl, bounds);
+            // Scattered sites may break column legality; the polish only
+            // needs an occupancy consistent with the placement.
+            let placer = scattered(&wiring, bounds, &mut rng);
+            assert_polish_matches_per_arc(&nl, &placer, &format!("random netlist {seed}"));
+        }
+    }
+
+    #[test]
+    fn shared_seed_matches_fresh_placements() {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<SeedPlacement>();
+        let mut nl = chain(160);
+        let src = CellId(3);
+        let extra: Vec<_> = (0..6)
+            .flat_map(|i| {
+                [
+                    nl.add_cell(Cell::bram(format!("b{i}"), 32, 1)),
+                    nl.add_cell(Cell::dsp(format!("d{i}"), 32, 2.0, 1)),
+                ]
+            })
+            .collect();
+        nl.connect(src, &extra);
+        let d = Device::ultrascale_plus_vu9p();
+        let fast = AnnealConfig {
+            moves_per_cell: 12,
+            min_moves: 3_000,
+            max_moves: 60_000,
+            cooling: 0.8,
+            batches: 25,
+        };
+        let region = Region {
+            x0: 20,
+            y0: 10,
+            w: 30,
+            h: 40,
+        };
+        let flat = SeedPlacement::new(&nl, &d, Region::full(&d));
+        let island = SeedPlacement::new(&nl, &d, region);
+        for seed in 0..5 {
+            assert_eq!(
+                flat.anneal(seed, fast),
+                place_with(&nl, &d, seed, fast),
+                "flat seed {seed}"
+            );
+            assert_eq!(
+                island.anneal(seed, fast),
+                place_in_region(&nl, &d, region, seed, fast),
+                "region seed {seed}"
+            );
         }
     }
 }

@@ -45,7 +45,7 @@ pub mod partition;
 pub mod placement;
 pub mod sites;
 
-pub use anneal::{place, place_in_region, place_with, AnnealConfig};
+pub use anneal::{place, place_in_region, place_with, AnnealConfig, SeedPlacement};
 pub use partition::{
     auto_islands, max_islands, partition, reserve_regions, stitch_crossings, CrossingReport,
     Partition, MIN_REGION_W,

@@ -63,6 +63,7 @@ impl Rng {
     }
 
     /// The next 64 uniformly random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let r = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -76,6 +77,7 @@ impl Rng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -90,6 +92,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn gen_index(&mut self, n: usize) -> usize {
         assert!(n > 0, "empty range");
         // Multiply-shift bounded sampling (Lemire); the slight modulo bias
@@ -118,6 +121,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
+    #[inline]
     pub fn gen_i64(&mut self, lo: i64, hi: i64) -> i64 {
         assert!(lo <= hi, "invalid range");
         let span = (hi as i128 - lo as i128) as u64;

@@ -381,17 +381,150 @@ fn seed_placement(
     }
 
     let mut locs = vec![(0u16, 0u16); n];
+    let mut free = FreeSites::new(columns, bounds);
     for (&x, cells) in &by_col {
         let count = cells.len() as f64;
         for (i, &c) in cells.iter().enumerate() {
             let y = bounds.y0 + (((i as f64 + 0.5) / count) * f64::from(rh)) as u16;
             let want = (x, y.min(bounds.y1() - 1));
-            let loc = free_site_near(netlist.cell(c).kind, want, occupancy);
+            let kind = netlist.cell(c).kind;
+            let loc = free
+                .nearest(class_of(kind), want)
+                .unwrap_or_else(|| panic!("no free site for cell kind {kind:?} in {bounds:?}"));
+            free.take(loc);
             occupancy.put(loc, c);
             locs[c.index()] = loc;
         }
     }
     Placement::from_locs(locs, device.grid_w, device.grid_h)
+}
+
+/// The free legal sites of a region for the seed's nearest-site search:
+/// per legality class and row, a bitset over the region's columns. The
+/// seed only fills sites, so a site leaves its set once and never
+/// returns.
+struct FreeSites {
+    bounds: Region,
+    /// `u64` words per bitset row.
+    words: usize,
+    /// Row `(class * h + y - y0)` holds bit `x - x0` while site `(x, y)`
+    /// is free and legal for the class.
+    bits: Vec<u64>,
+}
+
+impl FreeSites {
+    fn new(columns: &Columns, bounds: Region) -> Self {
+        let words = usize::from(bounds.w).div_ceil(64);
+        let mut row = vec![0u64; words];
+        let mut bits = Vec::with_capacity(CLASS_KINDS.len() * usize::from(bounds.h) * words);
+        for class in 0..CLASS_KINDS.len() as u8 {
+            row.fill(0);
+            for x in bounds.x0..bounds.x1() {
+                if columns.legal(class, x) {
+                    let i = usize::from(x - bounds.x0);
+                    row[i / 64] |= 1 << (i % 64);
+                }
+            }
+            for _ in 0..bounds.h {
+                bits.extend_from_slice(&row);
+            }
+        }
+        FreeSites {
+            bounds,
+            words,
+            bits,
+        }
+    }
+
+    fn row(&self, class: u8, y: u16) -> &[u64] {
+        let r = usize::from(class) * usize::from(self.bounds.h) + usize::from(y - self.bounds.y0);
+        &self.bits[r * self.words..][..self.words]
+    }
+
+    /// Marks a site taken (in every class; a site is legal for one).
+    fn take(&mut self, (x, y): (u16, u16)) {
+        let i = usize::from(x - self.bounds.x0);
+        for class in 0..CLASS_KINDS.len() {
+            let r = class * usize::from(self.bounds.h) + usize::from(y - self.bounds.y0);
+            self.bits[r * self.words + i / 64] &= !(1 << (i % 64));
+        }
+    }
+
+    /// The free legal site nearest to `want` (a site of the region):
+    /// least Chebyshev distance, then least row, then least column —
+    /// the first hit of a ring-by-ring, row-major scan around `want`.
+    /// Rows are visited outward from `want`'s, each answering its own
+    /// best site from its bitset, until a row's distance alone exceeds
+    /// the best found.
+    fn nearest(&self, class: u8, want: (u16, u16)) -> Option<(u16, u16)> {
+        let b = self.bounds;
+        let (wx, wy) = (usize::from(want.0 - b.x0), usize::from(want.1 - b.y0));
+        let h = usize::from(b.h);
+        // Best as (distance, row, column), all region-relative.
+        let mut best: Option<(usize, usize, usize)> = None;
+        for dy in 0..h {
+            if best.is_some_and(|(d, _, _)| dy > d) {
+                break;
+            }
+            let rows = [
+                wy.checked_sub(dy),
+                Some(wy + dy).filter(|&y| y < h && dy > 0),
+            ];
+            for y in rows.into_iter().flatten() {
+                let Some((d, x)) = row_nearest(self.row(class, b.y0 + y as u16), wx, dy) else {
+                    continue;
+                };
+                if best.is_none_or(|best| (d, y, x) < best) {
+                    best = Some((d, y, x));
+                }
+            }
+        }
+        best.map(|(_, y, x)| (b.x0 + x as u16, b.y0 + y as u16))
+    }
+}
+
+/// The best free site of one row `dy` rows from the wanted one, as
+/// `(Chebyshev distance, column)`: the leftmost set bit within `dy`
+/// columns of `wx` (distance `dy`), else the nearer of the closest set
+/// bits outside that window, the left one on a tie.
+fn row_nearest(row: &[u64], wx: usize, dy: usize) -> Option<(usize, usize)> {
+    if let Some(x) = next_set(row, wx.saturating_sub(dy)).filter(|&x| x <= wx + dy) {
+        return Some((dy, x));
+    }
+    let left = (wx > dy).then(|| prev_set(row, wx - dy - 1)).flatten();
+    let right = next_set(row, wx + dy + 1);
+    match (left, right) {
+        (Some(l), Some(r)) if r - wx < wx - l => Some((r - wx, r)),
+        (Some(l), _) => Some((wx - l, l)),
+        (None, Some(r)) => Some((r - wx, r)),
+        (None, None) => None,
+    }
+}
+
+/// The lowest set bit at or above `from`.
+fn next_set(words: &[u64], from: usize) -> Option<usize> {
+    let mut i = from / 64;
+    let mut word = *words.get(i)? & (!0 << (from % 64));
+    loop {
+        if word != 0 {
+            return Some(i * 64 + word.trailing_zeros() as usize);
+        }
+        i += 1;
+        word = *words.get(i)?;
+    }
+}
+
+/// The highest set bit at or below `to`.
+fn prev_set(words: &[u64], to: usize) -> Option<usize> {
+    let mut i = to / 64;
+    let mut word = words[i] & (!0 >> (63 - to % 64));
+    loop {
+        if word != 0 {
+            return Some(i * 64 + 63 - word.leading_zeros() as usize);
+        }
+        i = i.checked_sub(1)?;
+        word = words[i];
+    }
 }
 
 /// Finds the nearest free legal site to `want` within the occupancy's
@@ -400,7 +533,9 @@ fn seed_placement(
 /// `dx = -r` and `dx = r` of every middle row, then the bottom edge row.
 /// The first hit is thus the first free legal site of a row-major scan
 /// of the ring's bounding square, at O(r) cost per ring instead of
-/// O(r²).
+/// O(r²). [`FreeSites::nearest`] answers the same question from
+/// bitsets; this walk is its reference.
+#[cfg(test)]
 fn free_site_near(kind: CellKind, want: (u16, u16), occupancy: &Occupancy) -> (u16, u16) {
     let bounds = occupancy.bounds;
     let (x0, y0) = (i32::from(bounds.x0), i32::from(bounds.y0));
@@ -1164,6 +1299,54 @@ mod tests {
                             "{kind:?} want {want:?} in {bounds:?} at density {density}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn free_site_bitsets_match_ring_walk() {
+        let mut rng = Rng::seed_from_u64(0x0b17_5e75);
+        for bounds in column_table_regions() {
+            let columns = Columns::new(bounds);
+            for density in [0.0, 0.4, 0.8, 0.97] {
+                let mut occupancy = Occupancy::new(bounds);
+                let mut free = FreeSites::new(&columns, bounds);
+                // Free legal sites left per class.
+                let mut left = [0usize; 3];
+                for y in bounds.y0..bounds.y1() {
+                    for x in bounds.x0..bounds.x1() {
+                        let class = (0..3).find(|&c| columns.legal(c, x)).expect("a class");
+                        if rng.gen_f64() < density {
+                            occupancy.put((x, y), CellId(0));
+                            free.take((x, y));
+                        } else {
+                            left[usize::from(class)] += 1;
+                        }
+                    }
+                }
+                // Seeding order: ask, take the answer, ask again.
+                for _ in 0..400 {
+                    let kind = ALL_KINDS[rng.gen_index(ALL_KINDS.len())];
+                    let class = class_of(kind);
+                    let want = (
+                        bounds.x0 + rng.gen_index(usize::from(bounds.w)) as u16,
+                        bounds.y0 + rng.gen_index(usize::from(bounds.h)) as u16,
+                    );
+                    let got = free.nearest(class, want);
+                    if left[usize::from(class)] == 0 {
+                        assert_eq!(got, None, "{kind:?} want {want:?} in {bounds:?}");
+                        continue;
+                    }
+                    let loc = free_site_near(kind, want, &occupancy);
+                    assert_eq!(
+                        got,
+                        Some(loc),
+                        "{kind:?} want {want:?} in {bounds:?} at density {density}"
+                    );
+                    occupancy.put(loc, CellId(0));
+                    free.take(loc);
+                    left[usize::from(class)] -= 1;
                 }
             }
         }

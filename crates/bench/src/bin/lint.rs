@@ -16,11 +16,12 @@
 //! `--deny warning` makes warnings fatal. `--help` prints the usage and
 //! exits 0.
 
+use hlsb::{Flow, FlowSession};
 use hlsb_bench::{device_by_name, resolve_benchmarks};
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
 use hlsb_fabric::Device;
 use hlsb_findings::cli::{self, Arg, Cli, CliError};
-use hlsb_lint::{lint_with, render_sarif, LintConfig, LintReport, Severity};
+use hlsb_lint::{render_sarif, LintReport, Severity};
 use std::process::ExitCode;
 
 struct Args {
@@ -77,13 +78,18 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     Ok(args)
 }
 
-fn lint_benchmark(bench: &Benchmark, args: &Args) -> LintReport {
+/// The lint pre-pass of the flow's own probe stage: front end and
+/// baseline schedule, no placement or timing.
+fn lint_benchmark(session: &FlowSession, bench: &Benchmark, args: &Args) -> LintReport {
     let device = args.target.clone().unwrap_or_else(|| bench.device.clone());
-    let config = LintConfig {
-        clock_mhz: args.clock_mhz.unwrap_or(bench.clock_mhz),
-        ..LintConfig::default()
-    };
-    lint_with(&bench.design, &device, config)
+    let flow = Flow::new(bench.design.clone())
+        .device(device)
+        .clock_mhz(args.clock_mhz.unwrap_or(bench.clock_mhz))
+        .lint(true);
+    let probe = session
+        .probe(&flow)
+        .unwrap_or_else(|e| panic!("probe of `{}` failed: {e}", bench.design.name));
+    probe.lint.expect("probe ran with Flow::lint on")
 }
 
 fn main() -> ExitCode {
@@ -98,10 +104,11 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    let session = FlowSession::new();
     let reports: Vec<LintReport> = args
         .benches
         .iter()
-        .map(|b| lint_benchmark(b, &args))
+        .map(|b| lint_benchmark(&session, b, &args))
         .collect();
     match args.format {
         Format::Table => {

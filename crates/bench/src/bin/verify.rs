@@ -93,26 +93,37 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
 
 /// Network analysis plus the schedule contracts, via the flow's own
 /// probe stage — a rejected probe yields the report from the error, so
-/// dirty designs still render all their findings.
-fn verify_benchmark(session: &FlowSession, bench: &Benchmark, args: &Args) -> Report {
+/// dirty designs still render all their findings. With `--with-lint` the
+/// same probe runs the lint pre-pass, whose report comes second (a
+/// rejected probe has none).
+fn verify_benchmark(
+    session: &FlowSession,
+    bench: &Benchmark,
+    args: &Args,
+) -> (Report, Option<Report>) {
     let device = args.target.clone().unwrap_or_else(|| bench.device.clone());
     let flow = Flow::new(bench.design.clone())
         .device(device.clone())
         .clock_mhz(args.clock_mhz.unwrap_or(bench.clock_mhz))
         .options(OptimizationOptions::all())
-        .verify(true);
+        .verify(true)
+        .lint(args.with_lint);
     match session.probe(&flow) {
-        Ok(probe) => probe.verify.expect("probe ran with Flow::verify on"),
-        Err(FlowError::VerifyRejected { report }) => *report,
+        Ok(probe) => (
+            probe.verify.expect("probe ran with Flow::verify on"),
+            probe.lint,
+        ),
+        Err(FlowError::VerifyRejected { report }) => (*report, None),
         Err(e) => {
             // A structurally broken benchmark cannot be probed at all;
             // surface the failure as an empty report plus a stderr note.
             eprintln!("verify: probe of `{}` failed: {e}", bench.design.name);
-            hlsb_verify::report(
+            let report = hlsb_verify::report(
                 &bench.design.name,
                 &device.name,
                 args.clock_mhz.unwrap_or(bench.clock_mhz),
-            )
+            );
+            (report, None)
         }
     }
 }
@@ -130,25 +141,16 @@ fn main() -> ExitCode {
     }
 
     let session = FlowSession::new();
-    let mut reports: Vec<Report> = args
+    let (mut reports, lints): (Vec<Report>, Vec<Option<Report>>) = args
         .benches
         .iter()
         .map(|b| verify_benchmark(&session, b, &args))
-        .collect();
+        .unzip();
     for seed in 0..args.fuzz as u64 {
         let d = hlsb_sim::random_design(seed);
         reports.push(hlsb_verify::verify_network(&d, "fuzz", 300.0));
     }
-    if args.with_lint {
-        for b in &args.benches {
-            let device = args.target.clone().unwrap_or_else(|| b.device.clone());
-            let config = hlsb_lint::LintConfig {
-                clock_mhz: args.clock_mhz.unwrap_or(b.clock_mhz),
-                ..hlsb_lint::LintConfig::default()
-            };
-            reports.push(hlsb_lint::lint_with(&b.design, &device, config));
-        }
-    }
+    reports.extend(lints.into_iter().flatten());
 
     match args.format {
         Format::Table => {

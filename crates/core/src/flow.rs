@@ -169,12 +169,46 @@ impl Flow {
     }
 
     /// Enables the static broadcast lint (`hlsb-lint`) as a pre-pass.
-    /// The report lands in [`ImplementationResult::lint`]; findings can
+    /// The report lands in [`ImplementationResult::lint`] or
+    /// [`ProbeOutcome::lint`](crate::ProbeOutcome::lint); findings can
     /// then be cross-checked against the post-route critical path with
-    /// [`hlsb_lint::cross_check`]. Off by default. The lint borrows the
-    /// flow's own front-end artifacts (unroll + baseline schedule)
-    /// instead of re-deriving them — see the `lint` pass record in
-    /// [`ImplementationResult::trace`].
+    /// [`hlsb_lint::cross_check`]. Off by default. The lint reads the
+    /// session's baseline schedule artifact (the unrolled loops and
+    /// their broadcast-blind, injection-blind schedule of the unsplit
+    /// design) instead of scheduling anything itself — see the `lint`
+    /// pass record in [`ImplementationResult::trace`]. A probe runs the
+    /// lint without placing or timing anything:
+    ///
+    /// ```
+    /// use hlsb::{Flow, FlowSession};
+    /// use hlsb_fabric::Device;
+    /// use hlsb_ir::builder::DesignBuilder;
+    /// use hlsb_ir::types::DataType;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut b = DesignBuilder::new("fir");
+    /// let fin = b.fifo("in", DataType::Int(32), 2);
+    /// let fout = b.fifo("out", DataType::Int(32), 2);
+    /// let mut k = b.kernel("top");
+    /// let mut l = k.pipelined_loop("mac", 4096, 1);
+    /// l.set_unroll(128);
+    /// let c = l.invariant_input("c", DataType::Int(32));
+    /// let x = l.fifo_read(fin, DataType::Int(32));
+    /// let y = l.mul(c, x);
+    /// l.fifo_write(fout, y);
+    /// l.finish();
+    /// k.finish();
+    /// let design = b.finish()?;
+    ///
+    /// let flow = Flow::new(design)
+    ///     .device(Device::ultrascale_plus_vu9p())
+    ///     .clock_mhz(300.0)
+    ///     .lint(true);
+    /// let report = FlowSession::new().probe(&flow)?.lint.expect("lint enabled");
+    /// assert!(report.has_rule("BA01")); // `c` fans out to 128 multipliers
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn lint(mut self, enabled: bool) -> Self {
         self.lint = enabled;
         self

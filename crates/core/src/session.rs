@@ -35,9 +35,7 @@ use std::thread;
 use std::time::Instant;
 
 use hlsb_ir::verify::verify_design;
-use hlsb_lint::{FrontEndSnapshot, SnapshotLoop};
 use hlsb_trace::{SpanGuard, TraceTree, Tracer, Value};
-use std::borrow::Cow;
 
 use crate::cache::{self, ArtifactCache, CacheHit, CacheStats, StageCacheStats};
 use crate::error::FlowError;
@@ -728,32 +726,31 @@ impl FlowSession {
         tally(hit, &mut executions, &mut hits, &mut store_hits);
         // The lint baseline: the broadcast-blind schedule of the unsplit
         // design at the same clock.
-        let lint_inputs: Option<(Arc<FrontEndArtifact>, Arc<ScheduleArtifact>)> = lint_front_end
-            .map(|fe| {
-                // The lint baseline stays broadcast-blind *and*
-                // injection-blind: it models what stock HLS would build.
-                let key = cache::schedule_key(
-                    unsplit_key,
+        let baseline: Option<Arc<ScheduleArtifact>> = lint_front_end.map(|fe| {
+            // The lint baseline stays broadcast-blind *and*
+            // injection-blind: it models what stock HLS would build.
+            let key = cache::schedule_key(
+                unsplit_key,
+                clock_ns,
+                false,
+                device_hash,
+                flow.seed,
+                &crate::options::RegisterInjection::Off,
+            );
+            let (baseline, hit) = self.cache.schedule(key, || {
+                passes::schedule::run(
+                    &fe,
+                    &flow.design,
+                    &flow.device,
                     clock_ns,
                     false,
-                    device_hash,
                     flow.seed,
                     &crate::options::RegisterInjection::Off,
-                );
-                let (baseline, hit) = self.cache.schedule(key, || {
-                    passes::schedule::run(
-                        &fe,
-                        &flow.design,
-                        &flow.device,
-                        clock_ns,
-                        false,
-                        flow.seed,
-                        &crate::options::RegisterInjection::Off,
-                    )
-                });
-                tally(hit, &mut executions, &mut hits, &mut store_hits);
-                (fe, baseline)
+                )
             });
+            tally(hit, &mut executions, &mut hits, &mut store_hits);
+            baseline
+        });
         let splits: u64 = schedule
             .loop_traces
             .iter()
@@ -846,36 +843,16 @@ impl FlowSession {
             });
         }
 
-        // Lint pre-pass: report-only, borrowing the front-end artifacts
-        // instead of re-deriving them.
-        let lint = lint_inputs.map(|(fe, baseline)| {
+        // Lint pre-pass: report-only, reading the baseline schedule
+        // artifact instead of re-deriving it.
+        let lint = baseline.map(|baseline| {
             let span = root.child("lint");
-            let snapshot = FrontEndSnapshot {
-                loops: fe
-                    .unrolled
-                    .iter()
-                    .zip(&baseline.loops)
-                    .map(|(kernel, scheduled)| {
-                        kernel
-                            .iter()
-                            .zip(scheduled)
-                            .map(|(unrolled, sl)| SnapshotLoop {
-                                unrolled: Cow::Borrowed(unrolled),
-                                schedule: Cow::Borrowed(&sl.schedule),
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            };
-            let report = hlsb_lint::lint_with_front_end(
+            let report = hlsb_lint::lint_schedule(
                 &flow.design,
                 &flow.device,
-                hlsb_lint::LintConfig {
-                    clock_mhz: flow.clock_mhz,
-                    seed: flow.seed,
-                    ..hlsb_lint::LintConfig::default()
-                },
-                snapshot,
+                flow.clock_mhz,
+                flow.seed,
+                &baseline.loops,
             );
             stage_counters(
                 &span,

@@ -487,10 +487,4 @@ impl<'a> FmaxExplorer<'a> {
             span_tree,
         })
     }
-
-    /// Moves the frequency log out of the explorer (e.g. to inspect the
-    /// trial records after a run).
-    pub fn take_log(&mut self) -> FreqLog {
-        std::mem::take(&mut self.log)
-    }
 }

@@ -1,104 +1,11 @@
 //! Shared analysis context: the design under lint, the target device, the
-//! calibrated delay tables every rule consults, and the unrolled +
-//! scheduled front-end snapshot the structural rules analyze.
+//! calibrated delay tables every rule consults, and the baseline schedule
+//! the structural rules analyze.
 
-use hlsb_delay::{CalibratedModel, HlsPredictedModel, OpClass};
+use hlsb_delay::{CalibratedModel, OpClass};
 use hlsb_fabric::{Device, WireModel};
-use hlsb_ir::unroll::unroll_loop;
-use hlsb_ir::{Design, Loop};
-use hlsb_sched::{schedule_loop, Schedule};
-use std::borrow::Cow;
-
-/// Tunables for one lint run. `Default` matches the paper's AWS F1 setup
-/// (300 MHz target) with device-calibrated thresholds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LintConfig {
-    /// Clock target, MHz. Broadcast penalties are judged against this.
-    pub clock_mhz: f64,
-    /// Seed for the analytic delay characterization (the measurement
-    /// noise model); findings are deterministic for a fixed seed.
-    pub seed: u64,
-    /// Override for the BA01 broadcast-factor flag line. `None` derives
-    /// it from the device's calibrated delay tables.
-    pub data_threshold: Option<usize>,
-    /// Override for the PC01 stall-fanout flag line. `None` derives it
-    /// from the device wire model.
-    pub stall_fanout_threshold: Option<usize>,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            clock_mhz: 300.0,
-            seed: 1,
-            data_threshold: None,
-            stall_fanout_threshold: None,
-        }
-    }
-}
-
-/// The unrolled and baseline-scheduled form of one loop — what the
-/// structural rules (BA01, PC01) analyze. `Cow` so an optimizing flow can
-/// lend its own front-end artifacts instead of the lint re-deriving them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotLoop<'a> {
-    /// The loop body after applying the unroll pragma.
-    pub unrolled: Cow<'a, Loop>,
-    /// Its baseline (broadcast-blind, predicted-delay) schedule.
-    pub schedule: Cow<'a, Schedule>,
-}
-
-/// Unroll + baseline-schedule results for every loop of the design, in
-/// `loops[kernel][loop]` order mirroring [`Design::kernels`].
-///
-/// Standalone lint runs compute this once per context (so BA01 and PC01
-/// no longer each re-run the unroll/schedule pipeline); flows that already
-/// executed their front-end pass hand the artifacts in via
-/// [`crate::lint_with_front_end`] and pay nothing.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FrontEndSnapshot<'a> {
-    /// Per-kernel, per-loop snapshots.
-    pub loops: Vec<Vec<SnapshotLoop<'a>>>,
-}
-
-impl FrontEndSnapshot<'_> {
-    /// Runs the unroll + DCE + baseline-schedule front-end on every loop
-    /// — the same transformations an optimizing flow's front-end pass
-    /// applies, so borrowed and self-computed snapshots are identical.
-    pub fn compute(design: &Design, clock_ns: f64) -> FrontEndSnapshot<'static> {
-        let predicted = HlsPredictedModel::new();
-        let loops = design
-            .kernels
-            .iter()
-            .map(|k| {
-                k.loops
-                    .iter()
-                    .map(|lp| {
-                        let mut unrolled = unroll_loop(lp).looop;
-                        let (body, _) = unrolled.body.eliminate_dead();
-                        unrolled.body = body;
-                        let schedule = schedule_loop(&unrolled, design, &predicted, clock_ns);
-                        SnapshotLoop {
-                            unrolled: Cow::Owned(unrolled),
-                            schedule: Cow::Owned(schedule),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        FrontEndSnapshot { loops }
-    }
-
-    /// Whether the snapshot shape matches `design` (one entry per loop).
-    pub fn matches(&self, design: &Design) -> bool {
-        self.loops.len() == design.kernels.len()
-            && design
-                .kernels
-                .iter()
-                .zip(&self.loops)
-                .all(|(k, sl)| k.loops.len() == sl.len())
-    }
-}
+use hlsb_ir::Design;
+use hlsb_rtlgen::ScheduledLoop;
 
 /// Everything a [`Rule`](crate::Rule) needs, built once per run.
 pub struct LintContext<'a> {
@@ -106,63 +13,51 @@ pub struct LintContext<'a> {
     pub design: &'a Design,
     /// The target device.
     pub device: &'a Device,
-    /// Clock period, ns.
+    /// Clock period, ns. Broadcast penalties are judged against this.
     pub clock_ns: f64,
-    /// The broadcast-blind model a stock HLS scheduler would use.
-    pub predicted: HlsPredictedModel,
     /// The broadcast-calibrated model (paper §4.1's delay tables).
     pub calibrated: CalibratedModel,
     /// Wire model of the target fabric, for control-net estimates.
     pub wire: WireModel,
-    /// Run configuration.
-    pub config: LintConfig,
-    /// Unrolled + scheduled loops, `front_end.loops[kernel][loop]`.
-    pub front_end: FrontEndSnapshot<'a>,
+    /// The baseline schedule, `schedule[kernel][loop]`: broadcast-blind,
+    /// injection-blind and unsplit, with each loop's unrolled body in
+    /// [`ScheduledLoop::looop`].
+    pub schedule: &'a [Vec<ScheduledLoop>],
 }
 
 impl<'a> LintContext<'a> {
-    /// Builds the context, running the analytic characterization for the
-    /// target device and the unroll + baseline-schedule front-end once for
-    /// all rules.
-    pub fn new(design: &'a Design, device: &'a Device, config: LintConfig) -> Self {
-        let front_end = FrontEndSnapshot::compute(design, 1000.0 / config.clock_mhz);
-        Self::with_front_end(design, device, config, front_end)
-    }
-
-    /// Builds the context around a prebuilt front-end snapshot (e.g. the
-    /// artifacts of a flow that already unrolled and scheduled the design).
+    /// Builds the context around the baseline schedule of `design`,
+    /// running the analytic characterization for the target device with
+    /// `seed` (findings are deterministic for a fixed seed).
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot shape does not match the design.
-    pub fn with_front_end(
+    /// Panics if `schedule` does not hold one entry per loop of `design`.
+    pub fn with_schedule(
         design: &'a Design,
         device: &'a Device,
-        config: LintConfig,
-        front_end: FrontEndSnapshot<'a>,
+        clock_mhz: f64,
+        seed: u64,
+        schedule: &'a [Vec<ScheduledLoop>],
     ) -> Self {
         assert!(
-            front_end.matches(design),
-            "front-end snapshot shape does not match design '{}'",
+            schedule.len() == design.kernels.len()
+                && design
+                    .kernels
+                    .iter()
+                    .zip(schedule)
+                    .all(|(k, s)| k.loops.len() == s.len()),
+            "baseline schedule shape does not match design '{}'",
             design.name
         );
-        let calibrated = CalibratedModel::characterize_analytic(device, config.seed);
-        let wire = WireModel::for_device(device);
         LintContext {
             design,
             device,
-            clock_ns: 1000.0 / config.clock_mhz,
-            predicted: HlsPredictedModel::new(),
-            calibrated,
-            wire,
-            config,
-            front_end,
+            clock_ns: 1000.0 / clock_mhz,
+            calibrated: CalibratedModel::characterize_analytic(device, seed),
+            wire: WireModel::for_device(device),
+            schedule,
         }
-    }
-
-    /// The unrolled + scheduled snapshot of loop `li` of kernel `ki`.
-    pub fn snapshot(&self, ki: usize, li: usize) -> &SnapshotLoop<'a> {
-        &self.front_end.loops[ki][li]
     }
 
     /// Interconnect-delay budget for one data broadcast: past 15 % of the
@@ -178,9 +73,6 @@ impl<'a> LintContext<'a> {
     /// each finding at its exact fanout; this quantized figure is for
     /// reports and what-if summaries.
     pub fn data_broadcast_threshold(&self) -> usize {
-        if let Some(t) = self.config.data_threshold {
-            return t.max(2);
-        }
         let budget = self.data_budget_ns();
         let mut bf = 2usize;
         while bf < 4096 && self.calibrated.wire_excess_ns(OpClass::IntAlu, bf) < budget {
@@ -201,9 +93,6 @@ impl<'a> LintContext<'a> {
     /// The stall/enable fanout above which the control broadcast excess
     /// eats more than 25 % of the period on this fabric.
     pub fn stall_fanout_threshold(&self) -> usize {
-        if let Some(t) = self.config.stall_fanout_threshold {
-            return t.max(1);
-        }
         let budget = 0.25 * self.clock_ns;
         let per_sink = self.wire.speed * self.wire.c_sink_ns;
         ((budget / per_sink).ceil() as usize).max(16)
@@ -214,14 +103,17 @@ impl<'a> LintContext<'a> {
 mod tests {
     use super::*;
 
+    fn context<'a>(d: &'a Design, dev: &'a Device, clock_mhz: f64) -> LintContext<'a> {
+        LintContext::with_schedule(d, dev, clock_mhz, 1, &[])
+    }
+
     #[test]
     fn thresholds_are_device_calibrated() {
         let d = Design::new("t");
         let fast = Device::ultrascale_plus_vu9p();
         let slow = Device::zynq_zc706();
-        let cfg = LintConfig::default();
-        let ctx_fast = LintContext::new(&d, &fast, cfg.clone());
-        let ctx_slow = LintContext::new(&d, &slow, cfg);
+        let ctx_fast = context(&d, &fast, 300.0);
+        let ctx_slow = context(&d, &slow, 300.0);
         let t_fast = ctx_fast.data_broadcast_threshold();
         let t_slow = ctx_slow.data_broadcast_threshold();
         assert!((2..=4096).contains(&t_fast));
@@ -232,34 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_overrides_win() {
-        let d = Design::new("t");
-        let dev = Device::ultrascale_plus_vu9p();
-        let cfg = LintConfig {
-            data_threshold: Some(7),
-            stall_fanout_threshold: Some(123),
-            ..LintConfig::default()
-        };
-        let ctx = LintContext::new(&d, &dev, cfg);
-        assert_eq!(ctx.data_broadcast_threshold(), 7);
-        assert_eq!(ctx.stall_fanout_threshold(), 123);
-    }
-
-    #[test]
     fn faster_clock_lowers_the_data_flag_line() {
         let d = Design::new("t");
         let dev = Device::ultrascale_plus_vu9p();
-        let at = |mhz| {
-            LintContext::new(
-                &d,
-                &dev,
-                LintConfig {
-                    clock_mhz: mhz,
-                    ..LintConfig::default()
-                },
-            )
-            .data_broadcast_threshold()
-        };
+        let at = |mhz| context(&d, &dev, mhz).data_broadcast_threshold();
         assert!(at(500.0) <= at(150.0));
     }
 }

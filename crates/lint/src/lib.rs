@@ -1,9 +1,11 @@
 //! # hlsb-lint — static implicit-broadcast analyzer
 //!
 //! Finds the paper's implicit broadcasts (DAC'20, §3) *before* placement
-//! and STA, directly on the [`hlsb_ir::Design`]: the same unroll +
-//! schedule + calibrated-delay machinery the optimizing flow uses, but
-//! run in report-only mode. Four rules:
+//! and STA. Like the paper's analysis (§4.1), it reads the schedule the
+//! HLS scheduler already produced: the flow session's baseline schedule
+//! artifact (the unrolled loop bodies and their broadcast-blind
+//! schedules), weighed with the calibrated delay tables the optimizing
+//! flow uses. It schedules nothing itself. Four rules:
 //!
 //! | rule | name | paper | detects |
 //! |---|---|---|---|
@@ -21,96 +23,49 @@
 //! the shared [`hlsb_findings`] crate, so lint and `hlsb-verify`
 //! findings merge into one SARIF log with distinct rule IDs.
 //!
-//! # Example
-//!
-//! ```
-//! use hlsb_fabric::Device;
-//! use hlsb_ir::builder::DesignBuilder;
-//! use hlsb_ir::types::DataType;
-//!
-//! # fn main() -> Result<(), hlsb_ir::IrError> {
-//! let mut b = DesignBuilder::new("fir");
-//! let fin = b.fifo("in", DataType::Int(32), 2);
-//! let fout = b.fifo("out", DataType::Int(32), 2);
-//! let mut k = b.kernel("top");
-//! let mut l = k.pipelined_loop("mac", 4096, 1);
-//! l.set_unroll(128);
-//! let c = l.invariant_input("c", DataType::Int(32));
-//! let x = l.fifo_read(fin, DataType::Int(32));
-//! let y = l.mul(c, x);
-//! l.fifo_write(fout, y);
-//! l.finish();
-//! k.finish();
-//! let design = b.finish()?;
-//!
-//! let report = hlsb_lint::lint_design(&design, &Device::ultrascale_plus_vu9p(), 300.0);
-//! assert!(report.has_rule("BA01")); // `c` fans out to 128 multipliers
-//! # Ok(())
-//! # }
-//! ```
+//! Run the lint through a flow: `hlsb::Flow::lint(true)` attaches the
+//! report to `hlsb::FlowSession::probe`'s outcome or to a full run's
+//! result (see `Flow::lint` for an example).
 
 pub mod context;
 pub mod diag;
 pub mod render;
 pub mod rules;
 
-pub use context::{FrontEndSnapshot, LintConfig, LintContext, SnapshotLoop};
+pub use context::LintContext;
 pub use diag::{Diagnostic, LintReport, Location, Severity};
 pub use render::{render_jsonl, render_sarif, render_table};
 pub use rules::{all_rules, rule_metas, Rule};
 
 use hlsb_fabric::Device;
 use hlsb_ir::Design;
+use hlsb_rtlgen::ScheduledLoop;
 
-/// Lints `design` for `device` at the given clock target with default
-/// (device-calibrated) thresholds.
-pub fn lint_design(design: &Design, device: &Device, clock_mhz: f64) -> LintReport {
-    lint_with(
-        design,
-        device,
-        LintConfig {
-            clock_mhz,
-            ..LintConfig::default()
-        },
-    )
-}
-
-/// Lints `design` with explicit configuration. Findings are sorted worst
-/// first (severity, then estimated penalty), ties broken by rule id for
-/// determinism.
-pub fn lint_with(design: &Design, device: &Device, config: LintConfig) -> LintReport {
-    let ctx = LintContext::new(design, device, config);
-    run_rules(ctx)
-}
-
-/// Like [`lint_with`], but analyzes a prebuilt [`FrontEndSnapshot`]
-/// instead of re-running the unroll/schedule front-end — the fast path for
-/// flows that already executed their own front-end pass (e.g.
-/// `hlsb::Flow::lint`).
+/// Lints `design` for `device` at `clock_mhz`, reading its baseline
+/// schedule `schedule[kernel][loop]` (broadcast-blind, injection-blind,
+/// unsplit; see [`LintContext::schedule`]). `seed` seeds the analytic
+/// delay characterization. Findings are sorted worst first (severity,
+/// then estimated penalty), ties broken by rule id for determinism.
 ///
 /// # Panics
 ///
-/// Panics if the snapshot shape does not match the design.
-pub fn lint_with_front_end(
+/// Panics if `schedule` does not hold one entry per loop of `design`.
+pub fn lint_schedule(
     design: &Design,
     device: &Device,
-    config: LintConfig,
-    front_end: FrontEndSnapshot<'_>,
+    clock_mhz: f64,
+    seed: u64,
+    schedule: &[Vec<ScheduledLoop>],
 ) -> LintReport {
-    let ctx = LintContext::with_front_end(design, device, config, front_end);
-    run_rules(ctx)
-}
-
-fn run_rules(ctx: LintContext<'_>) -> LintReport {
-    let clock_mhz = ctx.config.clock_mhz;
+    let ctx = LintContext::with_schedule(design, device, clock_mhz, seed, schedule);
     let mut diagnostics = Vec::new();
     for rule in all_rules() {
         rule.check(&ctx, &mut diagnostics);
     }
     let mut report = LintReport {
         tool: "hlsb-lint",
-        design: ctx.design.name.clone(),
-        device: ctx.device.name.clone(),
+        design: design.name.clone(),
+        device: device.name.clone(),
         clock_mhz,
         rules: rule_metas(),
         diagnostics,

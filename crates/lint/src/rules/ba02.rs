@@ -119,37 +119,7 @@ impl Rule for MemoryScatter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{LintConfig, LintContext};
     use hlsb_fabric::Device;
-    use hlsb_ir::builder::DesignBuilder;
-    use hlsb_ir::pragma::Partition;
-    use hlsb_ir::types::DataType;
-    use hlsb_ir::Design;
-
-    fn buffer_design(len: usize, accessed: bool) -> Design {
-        let mut b = DesignBuilder::new("ba02");
-        let arr = b.array("buf", DataType::Int(32), len, Partition::None);
-        let fout = b.fifo("out", DataType::Int(32), 2);
-        let mut k = b.kernel("top");
-        let mut l = k.pipelined_loop("main", 1024, 1);
-        let i = l.indvar("i");
-        let v = if accessed {
-            l.load(arr, i, DataType::Int(32))
-        } else {
-            l.add(i, i)
-        };
-        l.fifo_write(fout, v);
-        l.finish();
-        k.finish();
-        b.finish().unwrap()
-    }
-
-    fn run(design: &Design, device: &Device) -> Vec<Diagnostic> {
-        let ctx = LintContext::new(design, device, LintConfig::default());
-        let mut out = Vec::new();
-        MemoryScatter.check(&ctx, &mut out);
-        out
-    }
 
     #[test]
     fn region_capacity_is_positive_everywhere() {
@@ -161,34 +131,5 @@ mod tests {
         ] {
             assert!(brams_per_region(&d) > 0, "{}", d.name);
         }
-    }
-
-    #[test]
-    fn flags_the_papers_figure3_buffer() {
-        // 737 280 x i32 is the paper's Figure 3 example: 640 BRAM units,
-        // far beyond any single clock region.
-        let design = buffer_design(737_280, true);
-        let device = Device::ultrascale_plus_vu9p();
-        let diags = run(&design, &device);
-        assert_eq!(diags.len(), 1);
-        let d = &diags[0];
-        assert_eq!(d.rule, "BA02");
-        assert_eq!(d.severity, Severity::Error);
-        assert_eq!(d.broadcast_factor, 640);
-        assert!(d.est_penalty_ns > 0.0);
-    }
-
-    #[test]
-    fn small_buffers_pass() {
-        let design = buffer_design(1024, true);
-        let device = Device::ultrascale_plus_vu9p();
-        assert!(run(&design, &device).is_empty());
-    }
-
-    #[test]
-    fn unaccessed_buffers_pass() {
-        let design = buffer_design(737_280, false);
-        let device = Device::ultrascale_plus_vu9p();
-        assert!(run(&design, &device).is_empty());
     }
 }

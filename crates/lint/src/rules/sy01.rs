@@ -17,15 +17,11 @@ use crate::context::LintContext;
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::rules::Rule;
 use hlsb_ir::Concurrency;
+use hlsb_rtlgen::REDUCE_FANIN;
 use hlsb_sync::{prune_sync, split_loop_flows, ModuleSync};
 
 /// Detects done-reduce trees and fused dataflow loops §4.2 would prune.
 pub struct SyncFanin;
-
-/// Fan-in of the AND-reduce primitives the control generator emits; a
-/// reduce wider than this becomes a multi-level tree (mirrors the
-/// `REDUCE_FANIN` arity in `hlsb-rtlgen`'s control lowering).
-pub const SYNC_REDUCE_FANIN: usize = 6;
 
 fn check_design_sync(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     let design = ctx.design;
@@ -45,12 +41,12 @@ fn check_design_sync(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     let waited = plan.reduce_width();
     // Start broadcast + done reduce both scale with the module count.
     let penalty = ctx.wire.skeleton_net_delay_ns(n);
-    if plan.pruned.is_empty() && n <= SYNC_REDUCE_FANIN {
+    if plan.pruned.is_empty() && n <= REDUCE_FANIN {
         return;
     }
-    let severity = if n > 4 * SYNC_REDUCE_FANIN {
+    let severity = if n > 4 * REDUCE_FANIN {
         Severity::Error
-    } else if n > SYNC_REDUCE_FANIN || waited < n {
+    } else if n > REDUCE_FANIN || waited < n {
         Severity::Warning
     } else {
         Severity::Info
@@ -58,7 +54,7 @@ fn check_design_sync(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
     let levels = if n <= 1 {
         0
     } else {
-        (n as f64).log(SYNC_REDUCE_FANIN as f64).ceil() as usize
+        (n as f64).log(REDUCE_FANIN as f64).ceil() as usize
     };
     out.push(Diagnostic {
         rule: SyncFanin.id(),
@@ -111,10 +107,10 @@ fn check_call_sync(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
             }
             let plan = prune_sync(&modules);
             let waited = plan.reduce_width();
-            if plan.pruned.is_empty() && n <= SYNC_REDUCE_FANIN {
+            if plan.pruned.is_empty() && n <= REDUCE_FANIN {
                 continue;
             }
-            let severity = if n > 4 * SYNC_REDUCE_FANIN {
+            let severity = if n > 4 * REDUCE_FANIN {
                 Severity::Error
             } else {
                 Severity::Warning
@@ -157,7 +153,7 @@ fn check_fused_loops(ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
             out.push(Diagnostic {
                 rule: SyncFanin.id(),
                 rule_name: SyncFanin.name(),
-                severity: if n > SYNC_REDUCE_FANIN {
+                severity: if n > REDUCE_FANIN {
                     Severity::Warning
                 } else {
                     Severity::Info
@@ -205,140 +201,5 @@ impl Rule for SyncFanin {
         check_design_sync(ctx, out);
         check_call_sync(ctx, out);
         check_fused_loops(ctx, out);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::context::{LintConfig, LintContext};
-    use hlsb_fabric::Device;
-    use hlsb_ir::builder::DesignBuilder;
-    use hlsb_ir::types::DataType;
-    use hlsb_ir::Design;
-
-    /// `n` fixed-latency PE kernels in one dataflow region.
-    fn dataflow_design(n: usize) -> Design {
-        let mut b = DesignBuilder::new("sy01");
-        b.dataflow();
-        for i in 0..n {
-            let fin = b.fifo(format!("in{i}"), DataType::Int(32), 2);
-            let fout = b.fifo(format!("out{i}"), DataType::Int(32), 2);
-            let mut k = b.kernel(format!("pe{i}"));
-            k.set_static_latency(10 + i as u64);
-            let mut l = k.pipelined_loop(format!("l{i}"), 256, 1);
-            let x = l.fifo_read(fin, DataType::Int(32));
-            let y = l.add(x, x);
-            l.fifo_write(fout, y);
-            l.finish();
-            k.finish();
-        }
-        b.finish().unwrap()
-    }
-
-    /// One loop carrying `n` independent FIFO-to-FIFO flows.
-    fn fused_design(n: usize) -> Design {
-        let mut b = DesignBuilder::new("fused");
-        let fifos: Vec<_> = (0..n)
-            .map(|i| {
-                (
-                    b.fifo(format!("in{i}"), DataType::Int(32), 2),
-                    b.fifo(format!("out{i}"), DataType::Int(32), 2),
-                )
-            })
-            .collect();
-        let mut k = b.kernel("top");
-        let mut l = k.pipelined_loop("fused", 256, 1);
-        for &(fin, fout) in &fifos {
-            let x = l.fifo_read(fin, DataType::Int(32));
-            let y = l.add(x, x);
-            l.fifo_write(fout, y);
-        }
-        l.finish();
-        k.finish();
-        b.finish().unwrap()
-    }
-
-    fn run(design: &Design) -> Vec<Diagnostic> {
-        let device = Device::ultrascale_plus_vu9p();
-        let ctx = LintContext::new(design, &device, LintConfig::default());
-        let mut out = Vec::new();
-        SyncFanin.check(&ctx, &mut out);
-        out
-    }
-
-    #[test]
-    fn flags_wide_dataflow_sync() {
-        let diags = run(&dataflow_design(28));
-        let d = diags
-            .iter()
-            .find(|d| d.subject == "sy01.done")
-            .expect("done reduce");
-        assert_eq!(d.broadcast_factor, 28);
-        assert!(d.severity >= Severity::Warning);
-        // 27 of the 28 static-latency PEs are prunable.
-        assert!(d.message.contains("wait on only 1"), "{}", d.message);
-    }
-
-    #[test]
-    fn flags_fused_flows() {
-        let diags = run(&fused_design(4));
-        let d = diags
-            .iter()
-            .find(|d| d.subject == "top.fused")
-            .expect("fused loop");
-        assert_eq!(d.broadcast_factor, 4);
-    }
-
-    #[test]
-    fn single_flow_sequential_design_passes() {
-        let diags = run(&fused_design(1));
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    /// A top loop calling `n` fixed-latency PE kernels (Fig. 6b style —
-    /// no dataflow pragma; the sync comes from the call sites).
-    fn call_design(n: usize) -> Design {
-        let mut b = DesignBuilder::new("calls");
-        let fin = b.fifo("in", DataType::Int(32), 2);
-        let fout = b.fifo("out", DataType::Int(32), 2);
-        let mut pes = Vec::new();
-        for i in 0..n {
-            let mut pe = b.kernel(format!("pe{i}"));
-            pe.set_static_latency(5 + i as u64);
-            let mut l = pe.pipelined_loop("body", 256, 1);
-            let x = l.invariant_input("x", DataType::Int(32));
-            let y = l.add(x, x);
-            l.output("y", y);
-            l.finish();
-            pes.push(pe.finish());
-        }
-        let mut top = b.kernel("top");
-        let mut l = top.pipelined_loop("main", 256, 1);
-        let x = l.fifo_read(fin, DataType::Int(32));
-        let mut acc = None;
-        for &pe in &pes {
-            let r = l.call(pe, vec![x], DataType::Int(32));
-            acc = Some(match acc {
-                Some(a) => l.add(a, r),
-                None => r,
-            });
-        }
-        l.fifo_write(fout, acc.unwrap());
-        l.finish();
-        top.finish();
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn flags_prunable_call_site_sync() {
-        let diags = run(&call_design(4));
-        let d = diags
-            .iter()
-            .find(|d| d.subject == "top.main.done")
-            .expect("call-site sync flagged");
-        assert_eq!(d.broadcast_factor, 4);
-        // All 4 PEs have static latency: only the slowest needs waiting.
-        assert!(d.message.contains("wait on only 1"), "{}", d.message);
     }
 }

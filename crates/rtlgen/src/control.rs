@@ -8,8 +8,9 @@ use hlsb_ctrl::min_area_split;
 use hlsb_netlist::{Cell, CellId};
 use hlsb_sync::prune::{prune_sync, ModuleSync};
 
-/// Fan-in per level of status/done reduce trees.
-const REDUCE_FANIN: usize = 6;
+/// Fan-in per level of status/done reduce trees; a reduce wider than
+/// this becomes a multi-level tree.
+pub const REDUCE_FANIN: usize = 6;
 
 /// Cycles of feedback latency in the registered skid front gate (the two
 /// `gate_p1`/`gate_p2` registers of Fig. 11's control path). Every skid

@@ -30,7 +30,7 @@ pub mod lower;
 pub mod memory;
 pub mod options;
 
-pub use control::GATE_PIPELINE;
+pub use control::{GATE_PIPELINE, REDUCE_FANIN};
 pub use info::{stage_widths, LowerInfo, SkidDecision, SkidStorage, SyncDecision};
 pub use lower::{
     lower_design, LoweredDesign, OwnedScheduledDesign, ScheduledDesign, ScheduledLoop,

@@ -90,18 +90,6 @@ impl Schedule {
             .max(1)
     }
 
-    /// The minimum number of cycles a pipelined execution of `iters`
-    /// iterations can take under this schedule: the pipeline must fill
-    /// once (`depth`) and issue the remaining iterations `ii` apart. This
-    /// is the latency the schedule *report* promises; a cycle-accurate
-    /// simulation may only exceed it by externally caused stalls.
-    pub fn min_pipeline_cycles(&self, iters: u64) -> u64 {
-        if iters == 0 {
-            return 0;
-        }
-        u64::from(self.depth.max(1)) + (iters - 1) * u64::from(self.ii.max(1))
-    }
-
     /// Instructions starting in each cycle (for stage-oriented consumers
     /// like RTL generation). Index = cycle.
     pub fn by_cycle(&self, dfg: &Dfg) -> Vec<Vec<InstId>> {

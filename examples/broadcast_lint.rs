@@ -1,12 +1,12 @@
 //! Static lint before implementation: flag the implicit broadcasts of a
-//! design from the IR alone, then run the flow with the lint pre-pass
+//! design from its baseline schedule alone, then run the flow with the lint pre-pass
 //! attached and compare the prediction against the routed critical path.
 //!
 //! ```text
 //! cargo run --release --example broadcast_lint
 //! ```
 
-use hlsb::{Flow, OptimizationOptions, PlaceEffort};
+use hlsb::{Flow, FlowSession, OptimizationOptions, PlaceEffort};
 use hlsb_fabric::Device;
 use hlsb_ir::builder::DesignBuilder;
 use hlsb_ir::types::DataType;
@@ -28,22 +28,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     k.finish();
     let design = b.finish()?;
 
-    // Stand-alone: no placement, no STA — just the IR and the device's
+    // Stand-alone: a probe runs the front end and the baseline schedule
+    // only — no placement, no STA — and lints with the device's
     // calibrated delay tables.
-    let device = Device::ultrascale_plus_vu9p();
-    let report = hlsb::lint::lint_design(&design, &device, 300.0);
-    print!("{}", report.to_table());
-
-    // Or as a pre-pass of the full flow: the report rides along with the
-    // implementation result.
-    let result = Flow::new(design)
-        .device(device)
+    let flow = Flow::new(design)
+        .device(Device::ultrascale_plus_vu9p())
         .clock_mhz(300.0)
         .options(OptimizationOptions::none())
         .place_effort(PlaceEffort::Fast)
         .place_seeds(1)
-        .lint(true)
-        .run()?;
+        .lint(true);
+    let session = FlowSession::new();
+    let report = session.probe(&flow)?.lint.expect("lint pre-pass enabled");
+    print!("{}", report.to_table());
+
+    // Or as a pre-pass of the full flow: the report rides along with the
+    // implementation result, and the session's cached schedule is reused.
+    let result = session.run(&flow)?;
     let lint = result.lint.as_ref().expect("lint pre-pass enabled");
     println!(
         "\nflow: {:.0} MHz achieved; lint predicted {} finding(s), worst {:?}",

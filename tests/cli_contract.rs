@@ -1,10 +1,12 @@
 //! The command-line contract of every argument-taking binary: `--help`
 //! prints the usage on stdout and exits 0, a usage error exits 2 and
-//! names what was wrong, and no command line makes a binary panic.
+//! names what was wrong, and no command line makes a binary panic. Also:
+//! `verify --with-lint` prints the same lint reports as `lint`.
 //!
 //! Builds the release binaries once with the `cargo` running this test,
-//! then spawns them straight from the target directory. Every case here
-//! fails before a flow runs, so the binaries return in milliseconds.
+//! then spawns them straight from the target directory. Every other case
+//! fails before a flow runs, and the lint parity case only probes (no
+//! placement), so the binaries return in well under a second.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -189,4 +191,23 @@ fn write_baseline_dash_writes_stdout_not_a_file() {
         "--write-baseline -",
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn verify_with_lint_prints_the_lint_reports_of_lint() {
+    // Both binaries lint through the same probe stage, so the lint lines
+    // of a combined verify run are exactly what `lint` prints.
+    let lint = run("lint", &["--design", "all", "--format", "jsonl"]);
+    let verify = run(
+        "verify",
+        &["--design", "all", "--with-lint", "--format", "jsonl"],
+    );
+    let lint_out = String::from_utf8_lossy(&lint.stdout);
+    let verify_out = String::from_utf8_lossy(&verify.stdout);
+    let lint_lines: Vec<&str> = verify_out
+        .lines()
+        .filter(|l| l.starts_with(r#"{"tool":"hlsb-lint","#))
+        .collect();
+    assert!(!lint_lines.is_empty(), "no lint lines:\n{verify_out}");
+    assert_eq!(lint_lines, lint_out.lines().collect::<Vec<_>>());
 }

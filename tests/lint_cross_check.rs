@@ -11,19 +11,30 @@
 //!   rules are scored as precision/recall against the broadcast classes
 //!   observed on the unoptimized critical path.
 
-use hlsb::{Flow, OptimizationOptions, PlaceEffort};
+use hlsb::{Flow, FlowSession, OptimizationOptions, PlaceEffort};
 use hlsb_benchmarks::{
     all_benchmarks, face_detect, genome, hbm_stencil, lstm, matmul, pattern_match, stencil,
     stream_buffer, vector_arith,
 };
 use hlsb_fabric::Device;
 use hlsb_ir::Design;
-use hlsb_lint::{classify_critical_cell, cross_check_classes, lint_design, CrossCheck};
+use hlsb_lint::{classify_critical_cell, cross_check_classes, CrossCheck, LintReport};
+
+/// The lint pre-pass of a probe at the benchmark's paper device and clock.
+fn lint_benchmark(session: &FlowSession, b: &hlsb_benchmarks::Benchmark) -> LintReport {
+    let flow = Flow::new(b.design.clone())
+        .device(b.device.clone())
+        .clock_mhz(b.clock_mhz)
+        .lint(true);
+    let probe = session.probe(&flow).expect("probe succeeds");
+    probe.lint.expect("probe ran with Flow::lint on")
+}
 
 #[test]
 fn lint_flags_all_nine_table1_benchmarks() {
+    let session = FlowSession::new();
     for b in all_benchmarks() {
-        let report = lint_design(&b.design, &b.device, b.clock_mhz);
+        let report = lint_benchmark(&session, &b);
         assert!(
             !report.is_clean(),
             "{} is a broadcast benchmark but linted clean",
@@ -44,8 +55,9 @@ fn lint_matches_table1_broadcast_types() {
     // Table 1 labels each benchmark with its broadcast type; the static
     // rules must agree on the full-size designs: a data-typed benchmark
     // fires BA01/BA02, a control-typed one PC01, a sync-typed one SY01.
+    let session = FlowSession::new();
     for b in all_benchmarks() {
-        let report = lint_design(&b.design, &b.device, b.clock_mhz);
+        let report = lint_benchmark(&session, &b);
         let ty = b.broadcast_type.to_lowercase();
         if ty.contains("data") {
             assert!(

@@ -105,7 +105,7 @@ pub fn run_benchmark(bench: &Benchmark, options: OptimizationOptions) -> Impleme
 
 /// Like [`run_benchmark`] with explicit placement effort (tests use
 /// `Fast`).
-pub fn run_benchmark_with(
+pub(crate) fn run_benchmark_with(
     bench: &Benchmark,
     options: OptimizationOptions,
     effort: PlaceEffort,

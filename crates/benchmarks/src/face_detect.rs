@@ -65,7 +65,7 @@ pub fn design(window: usize, classifiers: usize) -> Design {
 }
 
 /// The Table-1 configuration: 5x5 window, 48 classifiers, ZC706.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "Face Detection",
         broadcast_type: "Data",

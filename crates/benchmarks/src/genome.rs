@@ -84,7 +84,7 @@ pub fn design(unroll: u32) -> Design {
 }
 
 /// The Table-1 configuration: `BACK_SEARCH_COUNT = 64` on AWS F1.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "Genome Sequencing",
         broadcast_type: "Data",

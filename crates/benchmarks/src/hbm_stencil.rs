@@ -53,7 +53,7 @@ pub fn design(ports: usize, subchannels: usize) -> Design {
 }
 
 /// The Table-1 configuration: 28 HBM ports x 8 sub-channels on Alveo U50.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "HBM-Based Stencil",
         broadcast_type: "Pipe. Ctrl. & Sync.",

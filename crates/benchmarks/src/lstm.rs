@@ -60,7 +60,7 @@ pub fn design(lanes: usize) -> Design {
 }
 
 /// The Table-1 configuration: 32 lanes (N = 256 banked 8-way) on AWS F1.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "LSTM Network",
         broadcast_type: "Data",

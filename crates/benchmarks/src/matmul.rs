@@ -64,7 +64,7 @@ pub fn design(pes: usize, acc_depth: usize) -> Design {
 }
 
 /// The Table-1 configuration: 64 MACs, 8 accumulation stages, AWS F1.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "Matrix Multiply",
         broadcast_type: "Pipe. Ctrl. & Data",

@@ -13,7 +13,7 @@ use hlsb_ir::builder::DesignBuilder;
 use hlsb_ir::{DataType, Design, InstId, Partition};
 
 /// Datapath stages per Jacobi iteration (≈ 370 / 8 from §5.4).
-pub const STAGES_PER_ITERATION: usize = 46;
+pub(crate) const STAGES_PER_ITERATION: usize = 46;
 
 /// Builds the super-pipeline with the given number of concatenated Jacobi
 /// iterations (1..=8 in Fig. 16).
@@ -68,7 +68,7 @@ pub fn design(iterations: usize) -> Design {
 }
 
 /// The Table-1 configuration: the full 8-iteration super-pipeline.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "Stencil",
         broadcast_type: "Pipe. Ctrl.",

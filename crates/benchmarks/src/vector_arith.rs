@@ -159,7 +159,7 @@ pub fn dot_scale_pipeline(width: usize) -> Design {
 }
 
 /// The Table-1/Table-2 configuration: 512 lanes in 4 PEs, AWS F1.
-pub fn benchmark() -> Benchmark {
+pub(crate) fn benchmark() -> Benchmark {
     Benchmark {
         name: "Vector Arithmetic",
         broadcast_type: "Pipe. Ctrl. & Sync.",

@@ -117,7 +117,7 @@ pub struct StageCacheStats {
 
 impl StageCacheStats {
     /// Both stages summed (the legacy single-number view).
-    pub fn total(&self) -> CacheStats {
+    pub(crate) fn total(&self) -> CacheStats {
         CacheStats {
             hits: self.front_end.hits + self.schedule.hits,
             disk_hits: self.front_end.disk_hits + self.schedule.disk_hits,

@@ -172,7 +172,7 @@ impl Flow {
     /// The report lands in [`ImplementationResult::lint`] or
     /// [`ProbeOutcome::lint`](crate::ProbeOutcome::lint); findings can
     /// then be cross-checked against the post-route critical path with
-    /// [`hlsb_lint::cross_check`]. Off by default. The lint reads the
+    /// [`hlsb_lint::cross_check_classes`]. Off by default. The lint reads the
     /// session's baseline schedule artifact (the unrolled loops and
     /// their broadcast-blind, injection-blind schedule of the unsplit
     /// design) instead of scheduling anything itself — see the `lint`
@@ -283,7 +283,7 @@ impl Flow {
     /// pipeline; `label` is the human-readable configuration name (the
     /// key stays authoritative) and `wall_ms` the evaluation's wall-clock
     /// cost (the one volatile field).
-    pub fn store_record(
+    pub(crate) fn store_record(
         &self,
         key: u64,
         label: &str,
@@ -335,28 +335,6 @@ impl Flow {
         FlowError,
     > {
         FlowSession::new().run_detailed(self)
-    }
-
-    /// Simulates the flow instead of implementing it: the untimed golden
-    /// evaluator differenced against a cycle-accurate run of the
-    /// scheduled design, with this flow's options mapped onto the control
-    /// model. Loops are capped at `iters_cap` iterations. Uses a
-    /// throwaway [`FlowSession`] — to share cached front-end/schedule
-    /// artifacts with implementation runs, call
-    /// [`FlowSession::simulate`] on a shared session instead.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Flow::run`] for invalid IR or parameters; trace
-    /// divergence is reported by
-    /// [`SimulationOutcome::check`](crate::SimulationOutcome::check), not
-    /// as a `FlowError`.
-    pub fn simulate(
-        &self,
-        stim: &hlsb_sim::Stimulus,
-        iters_cap: u64,
-    ) -> Result<crate::SimulationOutcome, FlowError> {
-        FlowSession::new().simulate(self, stim, iters_cap)
     }
 }
 
@@ -566,7 +544,8 @@ mod tests {
         let err = Flow::new(d.clone()).clock_mhz(0.0).run().unwrap_err();
         assert!(matches!(err, FlowError::BadParameter { .. }));
         let stim = hlsb_sim::Stimulus::seeded(&d, 1, 4);
-        let err = Flow::new(d).clock_mhz(0.0).simulate(&stim, 4).unwrap_err();
+        let flow = Flow::new(d).clock_mhz(0.0);
+        let err = FlowSession::new().simulate(&flow, &stim, 4).unwrap_err();
         assert!(matches!(err, FlowError::BadParameter { .. }));
     }
 

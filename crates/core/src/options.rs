@@ -4,8 +4,8 @@
 //! of [`OptimizationOptions`] by its `Display`) and read back by its
 //! `FromStr`: every record, job line, report label and command line
 //! goes through these two, so `label().parse()` always round-trips.
-//! The one other form, [`OptimizationOptions::span_label`], is the
-//! write-only long form persisted on trace root spans.
+//! The one other form is the write-only long label persisted on trace
+//! root spans.
 
 use std::fmt;
 use std::str::FromStr;
@@ -66,7 +66,7 @@ impl OptimizationOptions {
     /// min-area toggle shows only with skid buffers on, as `skid-min-area`
     /// in place of `skid`. Traces are persisted, so the form is frozen;
     /// everything else spells the options with [`Display`](fmt::Display).
-    pub fn span_label(&self) -> String {
+    pub(crate) fn span_label(&self) -> String {
         let mut parts = Vec::new();
         if self.broadcast_aware {
             parts.push("broadcast-aware");
@@ -294,7 +294,7 @@ pub enum Partitioning {
 impl Partitioning {
     /// Whether partitioning is enabled at all (`Fixed(0)` and `Fixed(1)`
     /// degenerate to flat placement).
-    pub fn is_enabled(self) -> bool {
+    pub(crate) fn is_enabled(self) -> bool {
         match self {
             Partitioning::Off => false,
             Partitioning::Auto => true,

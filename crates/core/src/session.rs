@@ -154,7 +154,7 @@ pub struct ProbeOutcome {
     /// [`Flow::verify`]. Error findings abort the probe instead.
     pub verify: Option<hlsb_findings::Report>,
     /// Per-pass wall times and counters for this probe (front-end and
-    /// schedule records mirror [`FlowSession::run_detailed`], so probes
+    /// schedule records mirror [`Flow::run_detailed`](crate::Flow::run_detailed), so probes
     /// share cached artifacts with full runs).
     pub trace: PassTrace,
     /// Hierarchical span trace, when the flow enables [`Flow::trace`].
@@ -171,7 +171,7 @@ impl ProbeOutcome {
 /// The output of [`FlowSession::simulate`]: the untimed golden trace, the
 /// cycle-accurate outcome of the flow's *scheduled* design under the
 /// flow's control model, and the pass trace of the run (front-end and
-/// schedule records mirror [`FlowSession::run_detailed`], so simulation
+/// schedule records mirror [`Flow::run_detailed`](crate::Flow::run_detailed), so simulation
 /// shares their cached artifacts; the `simulate` record carries the
 /// cycle/stall/gate counters).
 #[derive(Debug, Clone)]
@@ -363,7 +363,7 @@ impl FlowSession {
     /// # Errors
     ///
     /// Same as [`Flow::run`].
-    pub fn run_detailed(
+    pub(crate) fn run_detailed(
         &self,
         flow: &Flow,
     ) -> Result<

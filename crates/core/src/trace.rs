@@ -10,8 +10,8 @@
 //! A `PassTrace` is always the flat view of the run's stage spans
 //! ([`hlsb_trace`]): the session records one span per stage whether or
 //! not [`Flow::trace`](crate::Flow::trace) is set, and derives the trace
-//! with [`PassTrace::from_span_tree`] — each depth-1 stage span becomes
-//! one record, its unsigned attributes become the counters. The span is
+//! from that span tree — each depth-1 stage span becomes one record, its
+//! unsigned attributes become the counters. The span is
 //! the stage's only timer, so the two views cannot drift apart.
 
 use std::fmt;
@@ -49,7 +49,7 @@ impl PassTrace {
     /// The flat view of a span tree: each depth-1 span under the root
     /// becomes one record (wall time from the span, counters from its
     /// unsigned-integer attributes, insertion order preserved).
-    pub fn from_span_tree(tree: &hlsb_trace::TraceTree) -> PassTrace {
+    pub(crate) fn from_span_tree(tree: &hlsb_trace::TraceTree) -> PassTrace {
         let mut trace = PassTrace::default();
         let Some(root) = tree.root() else {
             return trace;
@@ -85,7 +85,7 @@ impl PassTrace {
     }
 
     /// Total wall time across all recorded passes, milliseconds.
-    pub fn total_ms(&self) -> f64 {
+    pub(crate) fn total_ms(&self) -> f64 {
         self.records.iter().map(|r| r.wall_ms).sum()
     }
 

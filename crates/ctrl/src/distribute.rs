@@ -21,12 +21,6 @@ pub struct SplitPlan {
 }
 
 impl SplitPlan {
-    /// Depth of the buffer placed at `cuts[i]` (segment length + 1).
-    pub fn depth_at(&self, i: usize) -> usize {
-        let start = if i == 0 { 0 } else { self.cuts[i - 1] };
-        self.cuts[i] - start + 1
-    }
-
     /// Area saving versus the naive plan, as a fraction in `[0, 1]`.
     pub fn saving(&self) -> f64 {
         if self.naive_bits == 0 {
@@ -123,8 +117,6 @@ mod tests {
         assert_eq!(plan.cuts, vec![56, 61]);
         assert_eq!(plan.naive_bits, 63_488);
         assert!(plan.saving() > 0.87);
-        assert_eq!(plan.depth_at(0), 57);
-        assert_eq!(plan.depth_at(1), 6);
     }
 
     #[test]

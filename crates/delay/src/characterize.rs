@@ -78,7 +78,7 @@ impl Characterization {
     }
 
     /// Classes characterized.
-    pub fn classes(&self) -> &[OpClass] {
+    pub(crate) fn classes(&self) -> &[OpClass] {
         &self.classes
     }
 }
@@ -225,7 +225,7 @@ fn light_anneal() -> AnnealConfig {
 
 /// Neighbour averaging: each point becomes the mean of itself and its
 /// immediate neighbours (the paper's noise-suppression step).
-pub fn smooth(raw: &[f64]) -> Vec<f64> {
+pub(crate) fn smooth(raw: &[f64]) -> Vec<f64> {
     let n = raw.len();
     (0..n)
         .map(|i| {

@@ -33,10 +33,10 @@ pub enum OpClass {
 impl OpClass {
     /// Number of classes: the length of a class-indexed table. `Free` is
     /// the last variant.
-    pub const COUNT: usize = OpClass::Free as usize + 1;
+    pub(crate) const COUNT: usize = OpClass::Free as usize + 1;
 
     /// Dense index of the class in `0..COUNT`, for class-indexed tables.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 }

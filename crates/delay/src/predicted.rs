@@ -5,7 +5,7 @@ use crate::model::DelayModel;
 use hlsb_ir::{DataType, OpKind};
 
 /// Clock-to-out of a BRAM read port, ns (part of the Mem class delay).
-pub const BRAM_CLK_TO_OUT_NS: f64 = 0.90;
+pub(crate) const BRAM_CLK_TO_OUT_NS: f64 = 0.90;
 
 /// A Vivado-HLS-style pre-characterized delay model.
 ///
@@ -30,7 +30,7 @@ impl HlsPredictedModel {
     }
 
     /// Predicted delay of an op class on `ty`, independent of broadcast.
-    pub fn class_delay_ns(class: OpClass, ty: DataType) -> f64 {
+    pub(crate) fn class_delay_ns(class: OpClass, ty: DataType) -> f64 {
         let wide = ty.bits() > 32;
         match class {
             OpClass::IntAlu => {
@@ -62,7 +62,7 @@ impl HlsPredictedModel {
     /// The *actual* (measured) base logic delay of a class at broadcast
     /// factor 1, used by characterization. Identical to the predicted
     /// value except where the paper reports the prediction is conservative.
-    pub fn measured_base_ns(class: OpClass, ty: DataType) -> f64 {
+    pub(crate) fn measured_base_ns(class: OpClass, ty: DataType) -> f64 {
         match class {
             OpClass::FloatMul => 2.10, // real logic is much cheaper
             OpClass::FloatDiv => 3.00,

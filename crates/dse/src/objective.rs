@@ -22,7 +22,7 @@ pub struct Metrics {
 impl Metrics {
     /// Extracts the objectives from the result record of a full
     /// implementation run.
-    pub fn from_record(r: &ResultRecord) -> Self {
+    pub(crate) fn from_record(r: &ResultRecord) -> Self {
         Metrics {
             fmax_mhz: r.fmax_mhz,
             latency_cycles: r.latency_cycles,
@@ -32,7 +32,7 @@ impl Metrics {
 
     /// Pareto dominance: at least as good in every objective and strictly
     /// better in one. Equal vectors do not dominate each other.
-    pub fn dominates(&self, other: &Metrics) -> bool {
+    pub(crate) fn dominates(&self, other: &Metrics) -> bool {
         let geq = self.fmax_mhz >= other.fmax_mhz
             && self.latency_cycles <= other.latency_cycles
             && self.area_cells <= other.area_cells;
@@ -44,7 +44,7 @@ impl Metrics {
 
     /// Canonical ordering for reports: fastest first, then lowest
     /// latency, then smallest area.
-    pub fn report_order(&self, other: &Metrics) -> std::cmp::Ordering {
+    pub(crate) fn report_order(&self, other: &Metrics) -> std::cmp::Ordering {
         other
             .fmax_mhz
             .total_cmp(&self.fmax_mhz)
@@ -53,8 +53,9 @@ impl Metrics {
     }
 }
 
-/// Indices of the non-dominated points, in [`Metrics::report_order`]
-/// (ties broken by index, so the frontier is deterministic).
+/// Indices of the non-dominated points in report order: fastest first,
+/// then lowest latency, then smallest area (ties broken by index, so the
+/// frontier is deterministic).
 pub fn pareto_indices(points: &[Metrics]) -> Vec<usize> {
     let mut out: Vec<usize> = (0..points.len())
         .filter(|&i| !points.iter().any(|p| p.dominates(&points[i])))

@@ -36,7 +36,7 @@ pub struct DseConfig {
 impl DseConfig {
     /// Collapses no-op knob combinations: `min_area_skid` is only
     /// meaningful under `skid_buffer`.
-    pub fn canonical(mut self) -> Self {
+    pub(crate) fn canonical(mut self) -> Self {
         if !self.options.skid_buffer {
             self.options.min_area_skid = false;
         }
@@ -45,9 +45,9 @@ impl DseConfig {
 
     /// The flow this configuration denotes for a concrete design/device.
     /// `seed` is the shared base seed of the exploration (placement
-    /// trials derive their own streams from it). Copies the design; to
-    /// derive many points of one design, [`apply`](DseConfig::apply)
-    /// each to clones of one base flow instead.
+    /// trials derive their own streams from it). Copies the design; the
+    /// explorer derives many points of one design from clones of one base
+    /// flow instead.
     pub fn flow(&self, design: &Design, device: &Device, seed: u64) -> Flow {
         self.apply(Flow::new(design.clone()).device(device.clone()).seed(seed))
     }
@@ -55,7 +55,7 @@ impl DseConfig {
     /// Sets this configuration's knobs on `base`, a flow that already
     /// carries the design, device and seed. Clones of one base flow share
     /// its design and the design's digest.
-    pub fn apply(&self, base: Flow) -> Flow {
+    pub(crate) fn apply(&self, base: Flow) -> Flow {
         base.clock_mhz(self.clock_mhz)
             .options(self.options)
             .place_effort(self.effort)
@@ -178,7 +178,7 @@ impl KnobSpace {
     }
 
     /// Number of canonical configurations.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.enumerate().len()
     }
 
@@ -187,7 +187,7 @@ impl KnobSpace {
     /// # Panics
     ///
     /// Panics if any dimension is empty.
-    pub fn sample(&self, rng: &mut Rng) -> DseConfig {
+    pub(crate) fn sample(&self, rng: &mut Rng) -> DseConfig {
         let pick = |rng: &mut Rng, v: &[bool]| v[rng.gen_index(v.len())];
         DseConfig {
             options: OptimizationOptions {
@@ -207,7 +207,7 @@ impl KnobSpace {
     /// Samples up to `n` *distinct* canonical configurations. Returns
     /// fewer when the space is smaller than `n`. Deterministic for a
     /// fixed seed.
-    pub fn sample_distinct(&self, n: usize, seed: u64) -> Vec<DseConfig> {
+    pub(crate) fn sample_distinct(&self, n: usize, seed: u64) -> Vec<DseConfig> {
         let total = self.size();
         let mut rng = Rng::seed_from_u64(seed);
         let mut seen = std::collections::HashSet::new();

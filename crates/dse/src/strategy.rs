@@ -39,7 +39,7 @@ pub enum Strategy {
 
 impl Strategy {
     /// Stable name for reports and counters.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Strategy::Grid => "grid",
             Strategy::Random => "random",

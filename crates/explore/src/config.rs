@@ -29,7 +29,7 @@ pub struct ExploreConfig {
 impl ExploreConfig {
     /// A configuration with the given toggles, no injection, one
     /// placement seed, fast effort, no partitioning.
-    pub fn new(options: OptimizationOptions) -> Self {
+    pub(crate) fn new(options: OptimizationOptions) -> Self {
         ExploreConfig {
             options,
             inject: RegisterInjection::Off,
@@ -40,7 +40,7 @@ impl ExploreConfig {
     }
 
     /// Everything off — the unoptimized reference.
-    pub fn baseline() -> Self {
+    pub(crate) fn baseline() -> Self {
         ExploreConfig::new(OptimizationOptions::default())
     }
 

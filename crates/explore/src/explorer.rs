@@ -90,14 +90,6 @@ pub struct ExploreReport {
 }
 
 impl ExploreReport {
-    /// The converged configuration with the highest achieved Fmax.
-    pub fn best(&self) -> Option<&ConfigOutcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.converged_mhz.is_some())
-            .max_by(|a, b| a.best_fmax_mhz.total_cmp(&b.best_fmax_mhz))
-    }
-
     /// Whether every converged configuration passed its differential
     /// simulation and its contract checks (vacuously true when nothing
     /// converged or verification was disabled).

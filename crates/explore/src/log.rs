@@ -68,13 +68,6 @@ impl TrialRecord {
     pub fn to_json(&self) -> String {
         JsonlRecord::to_json(self)
     }
-
-    /// Parses one JSON line written by [`to_json`](TrialRecord::to_json).
-    /// Returns `None` for malformed input (e.g. a half-written trailing
-    /// line after a kill).
-    pub fn from_json(line: &str) -> Option<TrialRecord> {
-        <TrialRecord as JsonlRecord>::from_json(line)
-    }
 }
 
 impl JsonlRecord for TrialRecord {
@@ -145,11 +138,6 @@ impl FreqLog {
         Ok(FreqLog {
             table: JsonlTable::open(path)?,
         })
-    }
-
-    /// The backing path, when file-backed.
-    pub fn path(&self) -> Option<&Path> {
-        self.table.path()
     }
 
     /// Number of distinct trials logged.
@@ -253,6 +241,6 @@ mod tests {
         let mut log = FreqLog::in_memory();
         log.insert(record(9, 200.0, true)).unwrap();
         assert_eq!(log.len(), 1);
-        assert!(log.path().is_none());
+        assert!(log.table.path().is_none());
     }
 }

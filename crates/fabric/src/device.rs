@@ -15,7 +15,7 @@ pub enum DeviceFamily {
 
 impl DeviceFamily {
     /// Multiplicative delay factor relative to UltraScale+.
-    pub fn speed_factor(self) -> f64 {
+    pub(crate) fn speed_factor(self) -> f64 {
         match self {
             DeviceFamily::UltraScalePlus => 1.0,
             DeviceFamily::Zynq7000 => 1.38,
@@ -131,12 +131,6 @@ impl Device {
             },
         }
     }
-
-    /// Half-perimeter of the die in placement units (an upper bound on any
-    /// point-to-point distance used for normalization).
-    pub fn half_perimeter(&self) -> f64 {
-        f64::from(self.grid_w + self.grid_h)
-    }
 }
 
 impl fmt::Display for Device {
@@ -178,7 +172,6 @@ mod tests {
         let vu9p = Device::ultrascale_plus_vu9p();
         let z = Device::zynq_zc706();
         assert!(vu9p.resources.luts > z.resources.luts);
-        assert!(vu9p.half_perimeter() > z.half_perimeter());
     }
 
     #[test]

@@ -23,14 +23,6 @@ impl NoiseModel {
         NoiseModel { amplitude, seed }
     }
 
-    /// A quiet source (no perturbation).
-    pub fn silent() -> Self {
-        NoiseModel {
-            amplitude: 0.0,
-            seed: 0,
-        }
-    }
-
     /// Returns `value` perturbed by a deterministic factor in
     /// `[1 - amplitude, 1 + amplitude]`, keyed on `(key_a, key_b)`.
     pub fn perturb(&self, value: f64, key_a: u64, key_b: u64) -> f64 {
@@ -76,7 +68,7 @@ mod tests {
 
     #[test]
     fn silent_is_identity() {
-        let n = NoiseModel::silent();
+        let n = NoiseModel::new(0.0, 0);
         assert_eq!(n.perturb(3.25, 9, 9), 3.25);
     }
 

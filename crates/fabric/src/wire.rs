@@ -85,12 +85,12 @@ impl WireModel {
     /// assumes for a `fanout`-way net on an otherwise empty device: sinks
     /// occupy a square region around the driver whose radius grows with the
     /// square root of the sink count.
-    pub fn skeleton_spread(fanout: usize) -> f64 {
+    pub(crate) fn skeleton_spread(fanout: usize) -> f64 {
         0.8 * (fanout.max(1) as f64).sqrt()
     }
 
     /// Convenience: the delay of a skeleton broadcast net of the given
-    /// fanout (distance taken from [`WireModel::skeleton_spread`]).
+    /// fanout (distance: the characterization skeleton's sink spread).
     pub fn skeleton_net_delay_ns(&self, fanout: usize) -> f64 {
         self.net_delay_ns(Self::skeleton_spread(fanout), fanout)
     }

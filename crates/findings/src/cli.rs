@@ -71,12 +71,12 @@ pub struct Cli {
 
 impl Cli {
     /// The process's arguments, program name skipped.
-    pub fn from_env() -> Cli {
+    pub(crate) fn from_env() -> Cli {
         Cli::new(std::env::args().skip(1).collect())
     }
 
     /// The given arguments (no program name).
-    pub fn new(args: Vec<String>) -> Cli {
+    pub(crate) fn new(args: Vec<String>) -> Cli {
         Cli {
             args: args.into_iter(),
             current: String::new(),

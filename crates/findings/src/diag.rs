@@ -19,7 +19,7 @@ pub enum Severity {
 
 impl Severity {
     /// SARIF `level` string for this severity.
-    pub fn sarif_level(self) -> &'static str {
+    pub(crate) fn sarif_level(self) -> &'static str {
         match self {
             Severity::Info => "note",
             Severity::Warning => "warning",
@@ -67,7 +67,7 @@ pub struct Location {
 impl Location {
     /// `design/kernel/loop` path used in reports and SARIF logical
     /// locations.
-    pub fn path(&self, design: &str) -> String {
+    pub(crate) fn path(&self, design: &str) -> String {
         let mut p = design.to_string();
         if let Some(k) = &self.kernel {
             p.push('/');
@@ -166,7 +166,7 @@ impl Report {
     }
 
     /// Number of findings at exactly this severity.
-    pub fn count(&self, sev: Severity) -> usize {
+    pub(crate) fn count(&self, sev: Severity) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == sev)
@@ -190,19 +190,6 @@ impl Report {
     /// No findings at all.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
-    }
-
-    /// Total estimated broadcast penalty across all findings, ns — the
-    /// report's scalar "broadcast score". Design-space exploration uses
-    /// it as a cheap fitness proxy: a configuration whose remaining
-    /// broadcasts carry less penalty is likelier to close timing.
-    pub fn total_penalty_ns(&self) -> f64 {
-        self.penalty_where(|_| true)
-    }
-
-    /// Total estimated penalty of findings from one rule id, ns.
-    pub fn penalty_for_rule(&self, id: &str) -> f64 {
-        self.penalty_where(|r| r == id)
     }
 
     /// Total estimated penalty of the findings whose rule id the
@@ -327,9 +314,9 @@ mod tests {
             diag("BA01", Severity::Warning),
             diag("PC01", Severity::Error),
         ]);
-        assert!((r.total_penalty_ns() - 0.3).abs() < 1e-12);
-        assert!((r.penalty_for_rule("BA01") - 0.2).abs() < 1e-12);
-        assert!((r.penalty_for_rule("SY01")).abs() < 1e-12);
+        assert!((r.penalty_where(|_| true) - 0.3).abs() < 1e-12);
+        assert!((r.penalty_where(|rule| rule == "BA01") - 0.2).abs() < 1e-12);
+        assert!((r.penalty_where(|rule| rule == "SY01")).abs() < 1e-12);
         // Residual after remedying the data rules: only PC01 remains.
         let residual = r.penalty_where(|rule| rule != "BA01" && rule != "BA02");
         assert!((residual - 0.1).abs() < 1e-12);

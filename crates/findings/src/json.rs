@@ -1,5 +1,5 @@
 //! The workspace's one JSON codec: [`json_escape`] for the writers, and a
-//! strict reader ([`parse`], [`parse_object`], [`decode`]) with typed
+//! strict reader ([`parse_object`], [`decode`]) with typed
 //! field access ([`Object`]) for every decoder.
 //!
 //! Writers concatenate strings with a fixed key order and print floats in
@@ -209,7 +209,7 @@ impl Object {
 }
 
 /// Parses one JSON document; whitespace may surround it.
-pub fn parse(text: &str) -> Result<Json, JsonError> {
+pub(crate) fn parse(text: &str) -> Result<Json, JsonError> {
     let mut reader = Reader { text, pos: 0 };
     let value = reader.value(0)?;
     if reader.pos < text.len() {

@@ -197,11 +197,6 @@ impl<'k, 'a> LoopBuilder<'k, 'a> {
         self
     }
 
-    /// Direct access to the body under construction.
-    pub fn body(&mut self) -> &mut Dfg {
-        &mut self.lp.body
-    }
-
     /// A loop-invariant input (broadcast source after unrolling).
     pub fn invariant_input(&mut self, name: &str, ty: DataType) -> InstId {
         self.lp

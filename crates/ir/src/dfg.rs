@@ -37,7 +37,7 @@ pub struct Instruction {
 
 impl Instruction {
     /// Creates an unnamed instruction.
-    pub fn new(kind: OpKind, ty: DataType, operands: Vec<InstId>) -> Self {
+    pub(crate) fn new(kind: OpKind, ty: DataType, operands: Vec<InstId>) -> Self {
         Instruction {
             kind,
             ty,
@@ -179,29 +179,6 @@ impl Dfg {
         (0..self.insts.len() as u32).map(InstId)
     }
 
-    /// Rewrites every use of `from` as an operand into a use of `to`,
-    /// keeping use lists consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is defined after any user of `from` (would break
-    /// topological storage order).
-    pub fn replace_all_uses(&mut self, from: InstId, to: InstId) {
-        let user_list = std::mem::take(&mut self.users[from.index()]);
-        for &u in &user_list {
-            assert!(
-                to.index() < u.index(),
-                "replacement {to} must dominate user {u}"
-            );
-            for op in &mut self.insts[u.index()].operands {
-                if *op == from {
-                    *op = to;
-                }
-            }
-            self.users[to.index()].push(u);
-        }
-    }
-
     /// Replaces operand slot `slot` of `user` with `new_def`, updating use
     /// lists.
     ///
@@ -223,23 +200,6 @@ impl Dfg {
     /// RAW (read-after-write) dependencies of `id`: its operand list.
     pub fn raw_deps(&self, id: InstId) -> &[InstId] {
         &self.insts[id.index()].operands
-    }
-
-    /// Combinational depth of each instruction (longest path from a source,
-    /// counting only compute ops as depth-1 hops). Useful for levelized
-    /// placement seeds and sanity checks.
-    pub fn depths(&self) -> Vec<u32> {
-        let mut depth = vec![0u32; self.insts.len()];
-        for (i, inst) in self.insts.iter().enumerate() {
-            let base = inst
-                .operands
-                .iter()
-                .map(|op| depth[op.index()])
-                .max()
-                .unwrap_or(0);
-            depth[i] = base + u32::from(inst.kind.is_compute());
-        }
-        depth
     }
 
     /// Returns a copy of the graph with a [`OpKind::Reg`] inserted
@@ -476,18 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_all_uses_rewires() {
-        let mut d = Dfg::new();
-        let a = d.push(OpKind::Input { invariant: false }, i32t(), vec![]);
-        let b = d.push(OpKind::Input { invariant: false }, i32t(), vec![]);
-        let u = d.push(OpKind::Not, i32t(), vec![a]);
-        d.replace_all_uses(a, b);
-        assert_eq!(d.inst(u).operands, vec![b]);
-        assert!(d.users(a).is_empty());
-        assert_eq!(d.users(b), &[u]);
-    }
-
-    #[test]
     fn replace_operand_updates_single_slot() {
         let mut d = Dfg::new();
         let a = d.push(OpKind::Input { invariant: false }, i32t(), vec![]);
@@ -497,20 +445,6 @@ mod tests {
         assert_eq!(d.inst(s).operands, vec![a, b]);
         assert_eq!(d.users(a), &[s]);
         assert_eq!(d.users(b), &[s]);
-    }
-
-    #[test]
-    fn depths_count_compute_hops() {
-        let mut d = Dfg::new();
-        let a = d.push(OpKind::Input { invariant: false }, i32t(), vec![]);
-        let x = d.push(OpKind::Add, i32t(), vec![a, a]);
-        let y = d.push(OpKind::Mul, i32t(), vec![x, a]);
-        let o = d.push(OpKind::Output, i32t(), vec![y]);
-        let depth = d.depths();
-        assert_eq!(depth[a.index()], 0);
-        assert_eq!(depth[x.index()], 1);
-        assert_eq!(depth[y.index()], 2);
-        assert_eq!(depth[o.index()], 2); // Output is not a compute hop.
     }
 
     #[test]

@@ -87,13 +87,6 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// Runs every loop of a kernel in sequence, `iters` iterations each.
-    pub fn run_kernel(&self, kernel_idx: usize, iters: u64, io: &mut LoopIo) {
-        for lp in &self.design.kernels[kernel_idx].loops {
-            self.run_loop(lp, iters, io);
-        }
-    }
-
     /// Runs a single iteration of a loop at the given iteration index.
     ///
     /// [`run_loop`](Interpreter::run_loop) is `run_iteration` over
@@ -307,7 +300,10 @@ mod tests {
 
         let data: Vec<i64> = (10..18).collect();
         let mut io = io_with(fin, data.clone());
-        Interpreter::new(&d).run_kernel(0, 8, &mut io);
+        let interp = Interpreter::new(&d);
+        for lp in &d.kernels[0].loops {
+            interp.run_loop(lp, 8, &mut io);
+        }
         assert_eq!(io.fifo_outputs[&fout], data);
     }
 

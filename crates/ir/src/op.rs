@@ -110,28 +110,9 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Whether this operation is a datapath computation (consumes LUT/DSP
-    /// resources and has a logic delay), as opposed to structural ops.
-    pub fn is_compute(self) -> bool {
-        !matches!(
-            self,
-            OpKind::Const
-                | OpKind::Input { .. }
-                | OpKind::IndVar
-                | OpKind::Output
-                | OpKind::Reg
-                | OpKind::Repack
-        )
-    }
-
     /// Whether this operation accesses an on-chip array.
     pub fn is_memory(self) -> bool {
         matches!(self, OpKind::Load(_) | OpKind::Store(_))
-    }
-
-    /// Whether this operation accesses a FIFO channel.
-    pub fn is_fifo(self) -> bool {
-        matches!(self, OpKind::FifoRead(_) | OpKind::FifoWrite(_))
     }
 
     /// Whether this operation produces no SSA value used by others
@@ -143,16 +124,8 @@ impl OpKind {
         )
     }
 
-    /// Whether this operation defines a value without consuming operands.
-    pub fn is_source(self) -> bool {
-        matches!(
-            self,
-            OpKind::Const | OpKind::Input { .. } | OpKind::IndVar | OpKind::FifoRead(_)
-        )
-    }
-
     /// Number of operands the operation requires, if fixed.
-    pub fn arity(self) -> Option<usize> {
+    pub(crate) fn arity(self) -> Option<usize> {
         match self {
             OpKind::Const | OpKind::Input { .. } | OpKind::IndVar | OpKind::FifoRead(_) => Some(0),
             OpKind::Not
@@ -182,7 +155,7 @@ impl OpKind {
     }
 
     /// A short mnemonic for reports.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             OpKind::Const => "const",
             OpKind::Input { invariant: true } => "input.inv",
@@ -241,13 +214,8 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(OpKind::Add.is_compute());
-        assert!(!OpKind::Reg.is_compute());
         assert!(OpKind::Load(ArrayId(0)).is_memory());
         assert!(OpKind::Store(ArrayId(0)).is_sink());
-        assert!(OpKind::Input { invariant: true }.is_source());
-        assert!(!OpKind::Output.is_source());
-        assert!(OpKind::FifoRead(crate::design::FifoId(3)).is_fifo());
     }
 
     #[test]

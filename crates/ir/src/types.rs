@@ -49,12 +49,12 @@ impl DataType {
     }
 
     /// Whether the type is an integer (signed or unsigned) or boolean.
-    pub fn is_integral(self) -> bool {
+    pub(crate) fn is_integral(self) -> bool {
         matches!(self, DataType::Bool | DataType::Int(_) | DataType::UInt(_))
     }
 
     /// Whether arithmetic is permitted on the type.
-    pub fn is_arith(self) -> bool {
+    pub(crate) fn is_arith(self) -> bool {
         self.is_integral() || self.is_float()
     }
 }

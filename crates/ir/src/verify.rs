@@ -85,7 +85,7 @@ impl Error for IrError {}
 /// # Errors
 ///
 /// Returns the first violated invariant found, in instruction order.
-pub fn verify_dfg(dfg: &Dfg, design: &Design) -> Result<(), IrError> {
+pub(crate) fn verify_dfg(dfg: &Dfg, design: &Design) -> Result<(), IrError> {
     for (id, inst) in dfg.iter() {
         for &op in &inst.operands {
             if op.index() >= id.index() {

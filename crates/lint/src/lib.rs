@@ -135,20 +135,11 @@ impl CrossCheck {
 }
 
 /// Compares the rules that fired in `report` against the broadcast
-/// classes observed on a post-route critical path, using the cell names
-/// as evidence (see [`classify_critical_cell`]).
-pub fn cross_check(report: &LintReport, critical_cells: &[String]) -> CrossCheck {
-    let observed: Vec<&'static str> = critical_cells
-        .iter()
-        .filter_map(|c| classify_critical_cell(c))
-        .collect();
-    cross_check_classes(report, &observed)
-}
-
-/// Like [`cross_check`] with the observed broadcast classes supplied
-/// directly — callers with netlist access can add stronger evidence than
-/// cell names (e.g. "a critical cell drives a net with fanout ≥ N" is
-/// data-broadcast evidence).
+/// classes observed on a post-route critical path. The classes come from
+/// the critical cells' names (see [`classify_critical_cell`]); callers
+/// with netlist access can add stronger evidence than cell names (e.g.
+/// "a critical cell drives a net with fanout ≥ N" is data-broadcast
+/// evidence).
 ///
 /// The data rules BA01/BA02 are treated as one class when matching:
 /// both predict the same physical symptom (a scattered high-fanout data
@@ -227,12 +218,18 @@ mod tests {
                 remedy: "r",
             }],
         };
-        let cc = cross_check(&report, &["ff:stall_status3".into()]);
+        let classes = |cells: &[&str]| -> Vec<&'static str> {
+            cells
+                .iter()
+                .filter_map(|c| classify_critical_cell(c))
+                .collect()
+        };
+        let cc = cross_check_classes(&report, &classes(&["ff:stall_status3"]));
         assert_eq!((cc.true_pos, cc.false_pos, cc.false_neg), (1, 0, 0));
         assert_eq!(cc.precision(), 1.0);
         assert_eq!(cc.recall(), 1.0);
 
-        let miss = cross_check(&report, &["lut:sync_red0_0".into()]);
+        let miss = cross_check_classes(&report, &classes(&["lut:sync_red0_0"]));
         assert_eq!((miss.true_pos, miss.false_pos, miss.false_neg), (0, 1, 1));
         let mut total = cc;
         total.merge(miss);

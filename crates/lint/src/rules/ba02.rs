@@ -24,7 +24,7 @@ const REGION_EDGE_UNITS: u32 = 30;
 
 /// BRAM units available in one clock region of `device` — total BRAMs
 /// spread uniformly over the region grid.
-pub fn brams_per_region(device: &hlsb_fabric::Device) -> usize {
+pub(crate) fn brams_per_region(device: &hlsb_fabric::Device) -> usize {
     let rx = device.grid_w.div_ceil(REGION_EDGE_UNITS).max(1) as u64;
     let ry = device.grid_h.div_ceil(REGION_EDGE_UNITS).max(1) as u64;
     (device.resources.brams / (rx * ry)).max(1) as usize

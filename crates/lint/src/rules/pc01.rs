@@ -21,7 +21,7 @@ pub struct StallBroadcast;
 /// Estimated stall-net fanout of a scheduled pipeline: every data bit of
 /// every stage register carries a clock-enable load, plus one valid flag
 /// per stage.
-pub fn stall_fanout(widths: &[u64]) -> usize {
+pub(crate) fn stall_fanout(widths: &[u64]) -> usize {
     widths.iter().sum::<u64>() as usize + widths.len()
 }
 
@@ -29,7 +29,7 @@ pub fn stall_fanout(widths: &[u64]) -> usize {
 /// pipeline stalls, every 36 Kb unit of every array it reads or writes
 /// holds its port (the stream-buffer pattern of §5.5 — the back-pressure
 /// enable fans out to the whole buffer, not just the stage registers).
-pub fn gated_bram_units(design: &Design, lp: &Loop) -> usize {
+pub(crate) fn gated_bram_units(design: &Design, lp: &Loop) -> usize {
     design
         .arrays
         .iter()

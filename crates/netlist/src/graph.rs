@@ -11,7 +11,7 @@ pub struct NetId(pub u32);
 
 impl NetId {
     /// The raw index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -86,24 +86,13 @@ impl Error for NetlistError {}
 /// netlist over a subset of the parent's cells, plus the mapping back.
 /// Island-partitioned placement extracts one per island, places each
 /// independently, and reassembles the parent placement through
-/// [`Subgraph::to_global`].
+/// [`Subgraph::global_of`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Subgraph {
     /// The induced netlist (local cell ids).
     pub netlist: Netlist,
     /// `global_of[local.index()]` is the cell's id in the parent netlist.
     pub global_of: Vec<CellId>,
-}
-
-impl Subgraph {
-    /// Maps a local cell id back to the parent netlist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local` is out of bounds.
-    pub fn to_global(&self, local: CellId) -> CellId {
-        self.global_of[local.index()]
-    }
 }
 
 /// A word-level netlist.
@@ -513,8 +502,7 @@ mod tests {
         let (nl, src, mid, dst) = tiny();
         let sub = nl.subgraph(&[src, mid]);
         assert_eq!(sub.netlist.cell_count(), 2);
-        assert_eq!(sub.to_global(CellId(0)), src);
-        assert_eq!(sub.to_global(CellId(1)), mid);
+        assert_eq!(sub.global_of, vec![src, mid]);
         // src -> mid survives; mid -> dst is a cross-boundary arc and is
         // dropped (mid keeps no net).
         let n = sub.netlist.output_net(CellId(0)).expect("src drives");

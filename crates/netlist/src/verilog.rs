@@ -30,7 +30,7 @@ fn ident(name: &str, fallback: usize) -> String {
 }
 
 /// The behavioural primitive library emitted alongside every netlist.
-pub const PRIMITIVES: &str = r#"
+pub(crate) const PRIMITIVES: &str = r#"
 module hlsb_ff #(parameter WIDTH = 1) (
     input  wire             clk,
     input  wire [WIDTH-1:0] d,

@@ -1090,7 +1090,7 @@ mod tests {
     fn empty_netlist_is_ok() {
         let nl = Netlist::new("empty");
         let p = place(&nl, &Device::virtex7(), 0);
-        assert!(p.is_empty());
+        assert_eq!(p, Placement::from_locs(Vec::new(), p.grid_w, p.grid_h));
     }
 
     #[test]

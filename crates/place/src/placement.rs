@@ -30,22 +30,22 @@ impl Region {
     }
 
     /// One past the rightmost column.
-    pub fn x1(&self) -> u16 {
+    pub(crate) fn x1(&self) -> u16 {
         self.x0 + self.w
     }
 
     /// One past the bottom row.
-    pub fn y1(&self) -> u16 {
+    pub(crate) fn y1(&self) -> u16 {
         self.y0 + self.h
     }
 
     /// Number of sites in the region.
-    pub fn sites(&self) -> u64 {
+    pub(crate) fn sites(&self) -> u64 {
         u64::from(self.w) * u64::from(self.h)
     }
 
     /// Whether a location falls inside the region.
-    pub fn contains(&self, loc: (u16, u16)) -> bool {
+    pub(crate) fn contains(&self, loc: (u16, u16)) -> bool {
         loc.0 >= self.x0 && loc.0 < self.x1() && loc.1 >= self.y0 && loc.1 < self.y1()
     }
 }
@@ -68,16 +68,6 @@ impl Placement {
             grid_w,
             grid_h,
         }
-    }
-
-    /// Number of placed cells.
-    pub fn len(&self) -> usize {
-        self.locs.len()
-    }
-
-    /// Whether the placement is empty.
-    pub fn is_empty(&self) -> bool {
-        self.locs.is_empty()
     }
 
     /// Location of a cell.
@@ -113,7 +103,7 @@ impl Placement {
     }
 
     /// Half-perimeter wirelength of a net.
-    pub fn hpwl(&self, net: &Net) -> f64 {
+    pub(crate) fn hpwl(&self, net: &Net) -> f64 {
         let (dx, dy) = self.loc(net.driver);
         let (mut min_x, mut max_x, mut min_y, mut max_y) = (dx, dx, dy, dy);
         for &s in &net.sinks {

@@ -7,13 +7,13 @@
 use hlsb_netlist::CellKind;
 
 /// Column period of BRAM columns (one in every `BRAM_COL_PERIOD` columns).
-pub const BRAM_COL_PERIOD: u16 = 10;
+pub(crate) const BRAM_COL_PERIOD: u16 = 10;
 /// Column offset of BRAM columns within the period.
-pub const BRAM_COL_OFFSET: u16 = 4;
+pub(crate) const BRAM_COL_OFFSET: u16 = 4;
 /// Column period of DSP columns.
-pub const DSP_COL_PERIOD: u16 = 10;
+pub(crate) const DSP_COL_PERIOD: u16 = 10;
 /// Column offset of DSP columns within the period.
-pub const DSP_COL_OFFSET: u16 = 8;
+pub(crate) const DSP_COL_OFFSET: u16 = 8;
 
 /// Whether a cell of the given kind may be placed at column `x`.
 pub fn site_legal(kind: CellKind, x: u16) -> bool {

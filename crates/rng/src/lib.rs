@@ -40,7 +40,7 @@ pub struct Rng {
 /// SplitMix64 — small, high-quality 64-bit mixer (also used by
 /// `hlsb_fabric::NoiseModel`; duplicated here to keep this crate
 /// dependency-free).
-pub fn splitmix64(x: &mut u64) -> u64 {
+pub(crate) fn splitmix64(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

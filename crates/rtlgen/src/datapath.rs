@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 /// One inlined PE call site (for synchronization generation).
 #[derive(Debug, Clone, PartialEq)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// The PE's input-stage registers (start-broadcast sinks).
     pub entry_ffs: Vec<CellId>,
     /// The cell producing the PE's result (drives the done logic).
@@ -20,7 +20,7 @@ pub struct CallSite {
 
 /// Everything control generation needs about a lowered loop.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LoopArtifacts {
+pub(crate) struct LoopArtifacts {
     /// All registers belonging to the loop (stall-enable sinks).
     pub loop_ffs: Vec<CellId>,
     /// The cycle-0 input registers (skid gate / FSM start sinks).

@@ -32,9 +32,7 @@ pub mod options;
 
 pub use control::{GATE_PIPELINE, REDUCE_FANIN};
 pub use info::{stage_widths, LowerInfo, SkidDecision, SkidStorage, SyncDecision};
-pub use lower::{
-    lower_design, LoweredDesign, OwnedScheduledDesign, ScheduledDesign, ScheduledLoop,
-};
+pub use lower::{lower_design, LoweredDesign, ScheduledDesign, ScheduledLoop};
 pub use options::{ControlStyle, RtlOptions};
 
 #[cfg(test)]

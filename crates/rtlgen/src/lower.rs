@@ -28,34 +28,13 @@ pub struct ScheduledLoop {
 ///
 /// This is a *view*: lowering only reads the scheduled loops, so callers
 /// that share schedule artifacts (e.g. a pass-pipeline cache) can lower
-/// without cloning the design or the schedules. Use
-/// [`OwnedScheduledDesign`] when the pieces have no other home.
+/// without cloning the design or the schedules.
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduledDesign<'a> {
     /// The design (post any dataflow splitting).
     pub design: &'a Design,
     /// `loops[k][l]` is the scheduled form of kernel `k`'s loop `l`.
     pub loops: &'a [Vec<ScheduledLoop>],
-}
-
-/// Owning variant of [`ScheduledDesign`], for callers that build the
-/// schedule in place (tests, one-shot lowering).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedScheduledDesign {
-    /// The design (post any dataflow splitting).
-    pub design: Design,
-    /// `loops[k][l]` is the scheduled form of kernel `k`'s loop `l`.
-    pub loops: Vec<Vec<ScheduledLoop>>,
-}
-
-impl OwnedScheduledDesign {
-    /// The borrowed view [`lower_design`] consumes.
-    pub fn view(&self) -> ScheduledDesign<'_> {
-        ScheduledDesign {
-            design: &self.design,
-            loops: &self.loops,
-        }
-    }
 }
 
 /// The lowering result.
@@ -81,7 +60,7 @@ pub(crate) struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     /// The storage cell of a FIFO, creating it on first use.
-    pub fn fifo_cell(&mut self, fid: hlsb_ir::FifoId) -> CellId {
+    pub(crate) fn fifo_cell(&mut self, fid: hlsb_ir::FifoId) -> CellId {
         if let Some(c) = self.fifo_cells[fid.index()] {
             return c;
         }

@@ -16,13 +16,6 @@ pub enum ControlStyle {
     },
 }
 
-impl ControlStyle {
-    /// Whether this is a skid-buffer style.
-    pub fn is_skid(self) -> bool {
-        matches!(self, ControlStyle::Skid { .. })
-    }
-}
-
 /// Options controlling RTL generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RtlOptions {
@@ -49,15 +42,6 @@ impl RtlOptions {
             crossing_slots: 0,
         }
     }
-
-    /// All control optimizations on.
-    pub fn optimized() -> Self {
-        RtlOptions {
-            control: ControlStyle::Skid { min_area: true },
-            sync_pruning: true,
-            crossing_slots: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -69,12 +53,5 @@ mod tests {
         assert_eq!(RtlOptions::default().control, ControlStyle::Stall);
         assert!(!RtlOptions::default().sync_pruning);
         assert_eq!(RtlOptions::baseline(), RtlOptions::default());
-    }
-
-    #[test]
-    fn optimized_enables_everything() {
-        let o = RtlOptions::optimized();
-        assert!(o.control.is_skid());
-        assert!(o.sync_pruning);
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end lowering tests.
 
-use crate::lower::{lower_design, OwnedScheduledDesign, ScheduledLoop};
+use crate::lower::{lower_design, ScheduledDesign, ScheduledLoop};
 use crate::options::{ControlStyle, RtlOptions};
 use hlsb_delay::HlsPredictedModel;
 use hlsb_ir::builder::DesignBuilder;
@@ -10,6 +10,34 @@ use hlsb_netlist::CellKind;
 use hlsb_sched::{schedule_loop, MemAccessPlan};
 
 const CLOCK: f64 = 3.33;
+
+/// A design with its schedules, for tests that build the schedule in
+/// place.
+struct OwnedScheduledDesign {
+    design: Design,
+    loops: Vec<Vec<ScheduledLoop>>,
+}
+
+impl OwnedScheduledDesign {
+    /// The borrowed view [`lower_design`] consumes.
+    fn view(&self) -> ScheduledDesign<'_> {
+        ScheduledDesign {
+            design: &self.design,
+            loops: &self.loops,
+        }
+    }
+}
+
+impl RtlOptions {
+    /// All control optimizations on.
+    fn optimized() -> Self {
+        RtlOptions {
+            control: ControlStyle::Skid { min_area: true },
+            sync_pruning: true,
+            crossing_slots: 0,
+        }
+    }
+}
 
 /// Schedules every loop of a design (applying unroll pragmas) with the
 /// predicted model.

@@ -28,7 +28,7 @@ pub const CHAIN_NET_NS: f64 = 0.25;
 /// The delay an operation contributes to an in-cycle chain: its logic
 /// delay plus the local-net allowance (zero-delay structural ops stay
 /// free).
-pub fn chained_delay_ns(raw_delay: f64) -> f64 {
+pub(crate) fn chained_delay_ns(raw_delay: f64) -> f64 {
     if raw_delay > 0.0 {
         raw_delay + CHAIN_NET_NS
     } else {

@@ -67,7 +67,7 @@ impl Schedule {
 
     /// Number of users of `def` that start in `cycle` — the fanout of
     /// `def`'s net into that cycle's logic.
-    pub fn readers_in_cycle(&self, dfg: &Dfg, def: InstId, cycle: u32) -> usize {
+    pub(crate) fn readers_in_cycle(&self, dfg: &Dfg, def: InstId, cycle: u32) -> usize {
         dfg.users(def)
             .iter()
             .filter(|&&u| self.op(u).cycle == cycle)
@@ -88,19 +88,6 @@ impl Schedule {
             .max()
             .unwrap_or(1)
             .max(1)
-    }
-
-    /// Instructions starting in each cycle (for stage-oriented consumers
-    /// like RTL generation). Index = cycle.
-    pub fn by_cycle(&self, dfg: &Dfg) -> Vec<Vec<InstId>> {
-        let mut out = vec![Vec::new(); self.depth as usize];
-        for id in dfg.ids() {
-            let c = self.op(id).cycle as usize;
-            if c < out.len() {
-                out[c].push(id);
-            }
-        }
-        out
     }
 }
 
@@ -145,29 +132,5 @@ mod tests {
         assert_eq!(sched.operand_broadcast_factor(&dfg, u2), 2);
         // u3 reads a through a register (different cycle): factor 1.
         assert_eq!(sched.operand_broadcast_factor(&dfg, u3), 1);
-    }
-
-    #[test]
-    fn by_cycle_groups() {
-        let mut dfg = Dfg::new();
-        let a = dfg.push(OpKind::Input { invariant: false }, DataType::Int(8), vec![]);
-        let b = dfg.push(OpKind::Not, DataType::Int(8), vec![a]);
-        let mk = |cycle| ScheduledOp {
-            cycle,
-            latency: 0,
-            offset_ns: 0.0,
-            est_delay_ns: 0.0,
-        };
-        let sched = Schedule {
-            ops: vec![mk(0), mk(1)],
-            depth: 2,
-            ii: 1,
-            clock_ns: 3.0,
-            violations: vec![],
-        };
-        let groups = sched.by_cycle(&dfg);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0], vec![a]);
-        assert_eq!(groups[1], vec![b]);
     }
 }

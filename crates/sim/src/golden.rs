@@ -16,7 +16,7 @@ use std::collections::HashSet;
 ///
 /// Called kernels (PEs) execute only inside the caller's `call`
 /// evaluation; running them standalone would double-count their effects.
-pub fn called_kernels(bodies: &[Vec<Loop>]) -> HashSet<usize> {
+pub(crate) fn called_kernels(bodies: &[Vec<Loop>]) -> HashSet<usize> {
     let mut called = HashSet::new();
     for loops in bodies {
         for lp in loops {
@@ -33,7 +33,7 @@ pub fn called_kernels(bodies: &[Vec<Loop>]) -> HashSet<usize> {
 /// The number of iterations a simulation actually runs for a loop: the
 /// trip count, capped so benchmarks with million-iteration loops stay
 /// cheap. Golden and timed backends must use the same cap.
-pub fn capped_iters(lp: &Loop, cap: u64) -> u64 {
+pub(crate) fn capped_iters(lp: &Loop, cap: u64) -> u64 {
     lp.trip_count.min(cap.max(1))
 }
 

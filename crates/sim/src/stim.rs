@@ -68,7 +68,7 @@ impl Stimulus {
     }
 
     /// The interpreter state this stimulus seeds.
-    pub fn to_io(&self) -> LoopIo {
+    pub(crate) fn to_io(&self) -> LoopIo {
         let mut io = LoopIo::default();
         for (&fifo, stream) in &self.fifo_inputs {
             io.fifo_inputs
@@ -94,7 +94,7 @@ pub struct IoTrace {
 
 impl IoTrace {
     /// Extracts the trace from a finished interpreter state.
-    pub fn from_io(io: &LoopIo) -> IoTrace {
+    pub(crate) fn from_io(io: &LoopIo) -> IoTrace {
         IoTrace {
             fifo_outputs: io
                 .fifo_outputs

@@ -152,7 +152,7 @@ pub struct LoopReport {
 
 impl LoopReport {
     /// Busy cycles: first issue through completion, inclusive.
-    pub fn busy_cycles(&self) -> u64 {
+    pub(crate) fn busy_cycles(&self) -> u64 {
         match (self.first_issue, self.done_cycle) {
             (Some(a), Some(b)) => b - a + 1,
             _ => 0,
@@ -161,7 +161,7 @@ impl LoopReport {
 
     /// The schedule's promised minimum latency for the executed
     /// iteration count.
-    pub fn min_cycles(&self) -> u64 {
+    pub(crate) fn min_cycles(&self) -> u64 {
         if self.iterations == 0 {
             return 0;
         }

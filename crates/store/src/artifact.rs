@@ -137,11 +137,6 @@ impl ArtifactStore {
         })
     }
 
-    /// The backing directory, when disk-backed.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
     /// The shard a key lands in — a pure function of the key, identical
     /// in every process.
     pub fn shard_of(key: u64) -> usize {
@@ -168,14 +163,6 @@ impl ArtifactStore {
         let shard = &self.results[Self::shard_of(rec.key())];
         let _lock = self.file_lock()?;
         shard.lock().unwrap().insert(rec)
-    }
-
-    /// All result records across shards, in shard-then-insertion order.
-    pub fn results(&self) -> Vec<ResultRecord> {
-        self.results
-            .iter()
-            .flat_map(|shard| shard.lock().unwrap().records().cloned().collect::<Vec<_>>())
-            .collect()
     }
 
     /// Number of distinct result configurations stored.
@@ -338,7 +325,7 @@ mod tests {
     #[test]
     fn in_memory_store_has_no_dir_and_swallows_nothing() {
         let store = ArtifactStore::in_memory();
-        assert!(store.dir().is_none());
+        assert!(store.dir.is_none());
         store.put_result(result_record(1, 300.0)).unwrap();
         assert_eq!(store.get_result(1).unwrap().fmax_mhz, 300.0);
         assert_eq!(store.reload().unwrap(), 0);

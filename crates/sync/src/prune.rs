@@ -80,23 +80,6 @@ pub struct LatencyRange {
     pub max: u64,
 }
 
-impl LatencyRange {
-    /// An exact latency.
-    pub fn exact(l: u64) -> Self {
-        LatencyRange { min: l, max: l }
-    }
-
-    /// An interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min > max`.
-    pub fn new(min: u64, max: u64) -> Self {
-        assert!(min <= max, "invalid latency range");
-        LatencyRange { min, max }
-    }
-}
-
 /// Interval extension of [`prune_sync`] (beyond the paper, which lists
 /// variable-bound loops as future work): module `i` may be pruned iff some
 /// *waited* module `j` satisfies `min_j >= max_i` — then `j` finishing
@@ -125,6 +108,10 @@ pub fn prune_sync_bounded(bounds: &[LatencyRange]) -> SyncPlan {
 mod tests {
     use super::*;
     use hlsb_rng::Rng;
+
+    fn range(min: u64, max: u64) -> LatencyRange {
+        LatencyRange { min, max }
+    }
 
     #[test]
     fn waits_only_on_longest_static() {
@@ -171,21 +158,17 @@ mod tests {
     fn bounded_pruning_respects_overlap() {
         // [10, 30] cannot cover [5, 15] (min 10 < max 15), but [20, 30]
         // covers [5, 15].
-        let plan = prune_sync_bounded(&[LatencyRange::new(10, 30), LatencyRange::new(5, 15)]);
+        let plan = prune_sync_bounded(&[range(10, 30), range(5, 15)]);
         assert_eq!(plan.wait, vec![0, 1], "overlapping ranges both waited");
 
-        let plan2 = prune_sync_bounded(&[LatencyRange::new(20, 30), LatencyRange::new(5, 15)]);
+        let plan2 = prune_sync_bounded(&[range(20, 30), range(5, 15)]);
         assert_eq!(plan2.wait, vec![0]);
         assert_eq!(plan2.pruned, vec![1]);
     }
 
     #[test]
     fn bounded_reduces_to_exact_case() {
-        let plan = prune_sync_bounded(&[
-            LatencyRange::exact(5),
-            LatencyRange::exact(20),
-            LatencyRange::exact(3),
-        ]);
+        let plan = prune_sync_bounded(&[range(5, 5), range(20, 20), range(3, 3)]);
         assert_eq!(plan.wait, vec![1]);
         assert_eq!(plan.pruned, vec![0, 2]);
     }
@@ -247,7 +230,7 @@ mod tests {
                 .map(|_| {
                     let a = rng.gen_u64(0, 499);
                     let b = rng.gen_u64(0, 499);
-                    LatencyRange::new(a.min(b), a.max(b))
+                    range(a.min(b), a.max(b))
                 })
                 .collect();
             let plan = prune_sync_bounded(&bounds);

@@ -25,7 +25,7 @@ pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 /// every character outside `[a-zA-Z0-9_:]` becomes `_`, and the
 /// workspace prefix `hlsb_` is prepended (`serve.wave-ms` →
 /// `hlsb_serve_wave_ms`).
-pub fn metric_name(name: &str) -> String {
+pub(crate) fn metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 5);
     out.push_str("hlsb_");
     for c in name.chars() {
@@ -40,7 +40,7 @@ pub fn metric_name(name: &str) -> String {
 
 /// Escapes a label value per the exposition format: backslash, double
 /// quote and newline.
-pub fn escape_label_value(value: &str) -> String {
+pub(crate) fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

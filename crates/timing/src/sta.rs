@@ -25,11 +25,6 @@ pub struct TimingReport {
 }
 
 impl TimingReport {
-    /// Length of the critical path in cells.
-    pub fn depth(&self) -> usize {
-        self.critical_path.len()
-    }
-
     /// Renders the critical path as a per-arc breakdown, in the style of a
     /// `report_timing` text report: one line per hop with the cell, its
     /// placed location, the net's fanout, and the incremental delay.

@@ -101,7 +101,7 @@ impl Tracer {
     }
 
     /// Whether this tracer records anything.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
@@ -119,7 +119,7 @@ impl Tracer {
     }
 
     /// Bumps a metrics counter (no-op when disabled).
-    pub fn count(&self, name: &str, delta: u64) {
+    pub(crate) fn count(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
             inner.state.lock().unwrap().metrics.count(name, delta);
         }
@@ -127,7 +127,7 @@ impl Tracer {
 
     /// Records `value` into the named fixed-bucket histogram (no-op when
     /// disabled). See [`MetricsRegistry::observe`].
-    pub fn observe(&self, name: &str, bounds: &[f64], value: f64) {
+    pub(crate) fn observe(&self, name: &str, bounds: &[f64], value: f64) {
         if let Some(inner) = &self.inner {
             inner
                 .state

@@ -35,16 +35,8 @@ impl Value {
         }
     }
 
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Renders the value as a JSON token.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         match self {
             Value::Str(s) => format!("\"{}\"", json_escape(s)),
             Value::U64(v) => v.to_string(),
@@ -155,7 +147,6 @@ mod tests {
         assert_eq!(Value::from("x"), Value::Str("x".into()));
         assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::U64(5).as_u64(), Some(5));
-        assert_eq!(Value::Str("s".into()).as_str(), Some("s"));
         assert_eq!(Value::Bool(false).as_u64(), None);
     }
 }

@@ -86,10 +86,10 @@ use hlsb_findings::{Diagnostic, Location, Report, RuleMeta, Severity};
 use hlsb_ir::Design;
 
 /// SARIF driver name of this tool.
-pub const TOOL: &str = "hlsb-verify";
+pub(crate) const TOOL: &str = "hlsb-verify";
 
 /// The full rule registry, in id order.
-pub const RULES: [RuleMeta; 9] = [
+pub(crate) const RULES: [RuleMeta; 9] = [
     RuleMeta {
         id: "VN01",
         name: "fifo-multi-writer",
@@ -158,7 +158,7 @@ pub const RULES: [RuleMeta; 9] = [
 
 /// Metadata of all rules, in id order — the registry every verify
 /// [`Report`] carries for SARIF rendering.
-pub fn rule_metas() -> Vec<RuleMeta> {
+pub(crate) fn rule_metas() -> Vec<RuleMeta> {
     RULES.to_vec()
 }
 

@@ -9,7 +9,9 @@ use hlsb_netlist::{Cell, Netlist};
 use hlsb_place::{place_with, AnnealConfig, Region, SeedPlacement};
 use hlsb_rtlgen::{lower_design, RtlOptions, ScheduledDesign, ScheduledLoop};
 use hlsb_sched::schedule_loop;
-use hlsb_timing::{optimize_fanout, refine_critical, sta, FanoutOptions, RefineOptions};
+use hlsb_timing::{
+    optimize_fanout, refine_critical, retime, sta, FanoutOptions, RefineOptions, RetimeOptions,
+};
 
 /// One register driving `fanout` sinks built by `sink`: the shape of
 /// vector_product's 2088-sink broadcast, whose sinks all seed into one
@@ -24,8 +26,9 @@ fn broadcast(fanout: usize, sink: fn(String) -> Cell) -> Netlist {
     nl
 }
 
-fn lowered_stencil() -> Netlist {
-    let design = hlsb_benchmarks::stencil::design(2);
+/// `design` with every loop unrolled and scheduled at `period_ns`,
+/// lowered with the baseline options.
+fn lowered(design: &hlsb_ir::Design, period_ns: f64) -> Netlist {
     let model = HlsPredictedModel::new();
     let loops: Vec<Vec<ScheduledLoop>> = design
         .kernels
@@ -35,7 +38,7 @@ fn lowered_stencil() -> Netlist {
                 .iter()
                 .map(|lp| {
                     let u = unroll_loop(lp).looop;
-                    let schedule = schedule_loop(&u, &design, &model, 3.0);
+                    let schedule = schedule_loop(&u, design, &model, period_ns);
                     ScheduledLoop {
                         looop: u,
                         schedule,
@@ -47,7 +50,7 @@ fn lowered_stencil() -> Netlist {
         .collect();
     lower_design(
         &ScheduledDesign {
-            design: &design,
+            design,
             loops: &loops,
         },
         &RtlOptions::baseline(),
@@ -58,7 +61,7 @@ fn lowered_stencil() -> Netlist {
 
 fn main() {
     println!("physical");
-    let netlist = lowered_stencil();
+    let netlist = lowered(&hlsb_benchmarks::stencil::design(2), 3.0);
     let device = Device::ultrascale_plus_vu9p();
     let wire = WireModel::for_device(&device);
     let fast = AnnealConfig {
@@ -109,6 +112,24 @@ fn main() {
     time_it("refine_broadcast2048", 10, || {
         let mut p = ff_placement.clone();
         refine_critical(&ff_bcast, &mut p, &wire, RefineOptions::default())
+    });
+    // A Table-1 netlist as a Fast-effort trial hands it to refinement:
+    // placed, fanout-optimized and retimed. Its broadcasts put most
+    // capture arcs on a few heavy nets.
+    let vp = hlsb_benchmarks::find_benchmark("vector_product").expect("vector_product");
+    let vp_wire = WireModel::for_device(&vp.device);
+    let mut vp_netlist = lowered(&vp.design, 1000.0 / vp.clock_mhz);
+    let mut vp_placement = place_with(&vp_netlist, &vp.device, 7, fast);
+    optimize_fanout(&mut vp_netlist, &mut vp_placement, FanoutOptions::default());
+    retime(
+        &mut vp_netlist,
+        &mut vp_placement,
+        &vp_wire,
+        RetimeOptions::default(),
+    );
+    time_it("refine_vector_product_fast", 10, || {
+        let mut p = vp_placement.clone();
+        refine_critical(&vp_netlist, &mut p, &vp_wire, RefineOptions::default())
     });
     time_it("fanout_opt_stencil2", 10, || {
         let mut nl = netlist.clone();

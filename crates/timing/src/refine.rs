@@ -49,10 +49,17 @@ pub struct RefineReport {
     pub rounds: usize,
 }
 
-/// Median location of the cells connected to `cell` (drivers and sinks).
-fn neighbor_median(netlist: &Netlist, placement: &Placement, cell: CellId) -> Option<(u16, u16)> {
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
+/// Upper median location of the cells connected to `cell` (drivers and
+/// sinks), gathered into the scratch buffers `xs` and `ys`.
+fn neighbor_median(
+    netlist: &Netlist,
+    placement: &Placement,
+    cell: CellId,
+    xs: &mut Vec<u16>,
+    ys: &mut Vec<u16>,
+) -> Option<(u16, u16)> {
+    xs.clear();
+    ys.clear();
     for &net in netlist.input_nets(cell) {
         let d = netlist.net(net).driver;
         if d != cell {
@@ -73,9 +80,11 @@ fn neighbor_median(netlist: &Netlist, placement: &Placement, cell: CellId) -> Op
     if xs.is_empty() {
         return None;
     }
-    xs.sort_unstable();
-    ys.sort_unstable();
-    Some((xs[xs.len() / 2], ys[ys.len() / 2]))
+    let mid = xs.len() / 2;
+    Some((
+        *xs.select_nth_unstable(mid).1,
+        *ys.select_nth_unstable(mid).1,
+    ))
 }
 
 /// Pulls critical-path cells toward their neighbourhood medians while the
@@ -150,6 +159,7 @@ pub fn refine_critical(
     }
 
     // Phase 2: critical-path-directed moves.
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for _ in 0..options.max_rounds {
         report.rounds += 1;
         let path = timer.critical_path();
@@ -164,7 +174,7 @@ pub fn refine_critical(
         // by other neighbours).
         let mut candidates: Vec<(CellId, (u16, u16))> = Vec::new();
         for &cell in &path {
-            if let Some(m) = neighbor_median(netlist, placement, cell) {
+            if let Some(m) = neighbor_median(netlist, placement, cell, &mut xs, &mut ys) {
                 candidates.push((cell, m));
             }
         }

@@ -345,15 +345,26 @@ fn clock_period(worst: f64) -> f64 {
 /// * **Per-net capture maxima.** Each net keeps its leftmost maximal
 ///   capture total; a leftmost-max tournament tree over nets yields the
 ///   first strictly greatest capture arc, the one `run`'s scan picks. A
-///   moved driver or a changed driver arrival rescans its net; a moved
+///   light net (fewer than [`HEAVY_ARCS`] capture arcs, a constant
+///   driver, or a wire model that does not grow with distance) rescans
+///   when its driver moves or its driver's arrival changes; a moved
 ///   capture sink is a point update that rescans only when it was its
-///   net's maximum and fell. Maxima are kept per net, not per arc: a
-///   broadcast driver's move changes every arc of its net at once, and
-///   one tight rescan of the net is far cheaper than hundreds of leaf
-///   updates.
-/// * **Undo log.** Every overwritten arrival, net maximum and tree node
-///   is logged, so a rejected move is undone without re-timing; nothing
-///   is allocated per move once the scratch buffers have grown.
+///   net's maximum and fell.
+/// * **Lane trees for heavy nets.** A heavy net's capture totals are
+///   monotone in the driver-to-sink Manhattan distance whenever the wire
+///   model grows with distance, and that distance from a driver at `q`
+///   is `max_D(M_D − D·q)` over the four lanes `D` = `x+y`, `x−y`,
+///   `−x+y`, `−x−y`, with `M_D` the lane's maximum over the net's sinks.
+///   Four leftmost-max tournament trees over the net's capture arcs keep
+///   each `M_D` and its leftmost arc, so a moved driver, a changed
+///   driver arrival or a fallen maximum costs O(1), and a moved sink
+///   O(log F). The farthest sinks are strictly worst unless rounding
+///   makes one unit nearer total the same (`total(dmax − 1) >=
+///   total(dmax)`); then the net is rescanned.
+/// * **Undo log.** Every overwritten arrival, net maximum, tree node and
+///   lane node is logged, so a rejected move is undone without
+///   re-timing; nothing is allocated per move once the scratch buffers
+///   have grown.
 ///
 /// The netlist must be valid (see [`Netlist::validate`]): an output cell
 /// that drove a net would be read by `run` before it is evaluated.
@@ -382,19 +393,55 @@ pub(crate) struct IncrementalSta {
     /// Leftmost-max tournament over `net_max`: node `i` holds the winning
     /// net of its subtree, leaf `net_max.len() + k` holds net `k`.
     tree: Vec<u32>,
+    /// Per net, where its lane trees start in `lanes`, or `NONE` for a
+    /// light net.
+    lane_start: Vec<u32>,
+    /// The heavy nets' lane trees, one block per net: a net whose `F`
+    /// capture arcs pad to `P` leaves owns `2P` nodes, node `i` holding
+    /// per lane the greatest key of its subtree and the leftmost capture
+    /// arc with it, leaf `P + k` the net's `k`-th arc (`(i32::MIN,
+    /// NONE)` past `F`).
+    lanes: Vec<Lanes>,
 
     /// Cone cells awaiting re-evaluation, by rank.
     queue: BinaryHeap<Reverse<u32>>,
     queued: Vec<bool>,
-    /// Nets whose capture maximum must be rescanned.
+    /// Nets whose capture maximum must be re-derived.
     dirty: Vec<bool>,
     dirty_nets: Vec<u32>,
 
-    /// Overwritten `(cell, arrival, best_pred)`, `(net, net_max)` and
-    /// `(node, tree)` entries since the last commit.
+    /// Overwritten `(cell, arrival, best_pred)`, `(net, net_max)`,
+    /// `(node, tree)` and `(node, lanes)` entries since the last commit.
     undo_cells: Vec<(u32, f64, u32)>,
     undo_nets: Vec<(u32, (f64, u32))>,
     undo_tree: Vec<(u32, u32)>,
+    undo_lanes: Vec<(u32, Lanes)>,
+}
+
+/// Capture arcs from which a net keeps lane trees. Below this, rescanning
+/// the net costs less than keeping four trees current through its sinks'
+/// moves.
+const HEAVY_ARCS: u32 = 8;
+
+/// Per lane `x+y`, `x−y`, `−x+y`, `−x−y`: a key and its capture arc.
+type Lanes = [(i32, u32); 4];
+
+/// The four lane keys of a location.
+fn lane_keys((x, y): (u16, u16)) -> [i32; 4] {
+    let (x, y) = (i32::from(x), i32::from(y));
+    [x + y, x - y, y - x, -x - y]
+}
+
+/// Per lane, the greater key of a left and a right subtree; ties go
+/// left, to the leftmost arc.
+fn lane_winners(left: &Lanes, right: &Lanes) -> Lanes {
+    std::array::from_fn(|d| {
+        if right[d].0 > left[d].0 {
+            right[d]
+        } else {
+            left[d]
+        }
+    })
 }
 
 impl IncrementalSta {
@@ -431,6 +478,33 @@ impl IncrementalSta {
             .map(|c| netlist.output_net(CellId(c)).map_or(NONE, |net| net.0))
             .collect();
 
+        // Capture totals grow with distance only under a model that does;
+        // a constant driver's totals are all equal.
+        let monotone = wire.r_dist_ns > 0.0 && wire.speed > 0.0;
+        let mut lane_start = vec![NONE; nets];
+        let mut lanes = Vec::new();
+        for (net, start) in lane_start.iter_mut().enumerate() {
+            let (lo, hi) = (graph.capture_start[net], graph.capture_start[net + 1]);
+            if !monotone || hi - lo < HEAVY_ARCS || graph.capture[lo as usize].net == NONE {
+                continue;
+            }
+            *start = lanes.len() as u32;
+            let width = (hi - lo).next_power_of_two() as usize;
+            lanes.resize(lanes.len() + width, [(i32::MIN, NONE); 4]);
+            lanes.extend((lo..lo + width as u32).map(|arc| {
+                if arc < hi {
+                    let sink = graph.capture[arc as usize].sink;
+                    lane_keys(placement.loc(CellId(sink))).map(|key| (key, arc))
+                } else {
+                    [(i32::MIN, NONE); 4]
+                }
+            }));
+            let block = &mut lanes[*start as usize..];
+            for node in (1..width).rev() {
+                block[node] = lane_winners(&block[2 * node], &block[2 * node + 1]);
+            }
+        }
+
         let (arrival, best_pred) = graph.propagate(placement);
         let leaves = nets.next_power_of_two();
         let mut timer = IncrementalSta {
@@ -444,6 +518,8 @@ impl IncrementalSta {
             best_pred,
             net_max: vec![(f64::NEG_INFINITY, NONE); leaves],
             tree: (0..leaves as u32).chain(0..leaves as u32).collect(),
+            lane_start,
+            lanes,
             queue: BinaryHeap::new(),
             queued: vec![false; n],
             dirty: vec![false; nets],
@@ -451,6 +527,7 @@ impl IncrementalSta {
             undo_cells: Vec::new(),
             undo_nets: Vec::new(),
             undo_tree: Vec::new(),
+            undo_lanes: Vec::new(),
             graph,
         };
         for net in 0..nets as u32 {
@@ -530,13 +607,21 @@ impl IncrementalSta {
         let captured = self.capture_in_start[m as usize]..self.capture_in_start[m as usize + 1];
         for k in captured {
             let (arc, net) = self.capture_in[k as usize];
-            if !self.dirty[net as usize] {
+            if self.lane_start[net as usize] != NONE {
+                // Even when the net is already dirty: the lanes must see
+                // every moved sink, the driver's own too on a self-loop.
+                self.move_lane_leaf(placement, arc, net);
+                self.mark_dirty(net);
+            } else if !self.dirty[net as usize] {
                 self.move_sink(placement, arc, net);
             }
         }
         while let Some(net) = self.dirty_nets.pop() {
             self.dirty[net as usize] = false;
-            let max = self.scan(placement, net);
+            let max = match self.lane_max(placement, net) {
+                Some(max) => max,
+                None => self.scan(placement, net),
+            };
             self.set_net_max(net, max);
         }
     }
@@ -546,6 +631,7 @@ impl IncrementalSta {
         self.undo_cells.clear();
         self.undo_nets.clear();
         self.undo_tree.clear();
+        self.undo_lanes.clear();
     }
 
     /// Undoes every move since the last commit (the caller restores the
@@ -560,6 +646,9 @@ impl IncrementalSta {
         }
         for (node, winner) in self.undo_tree.drain(..).rev() {
             self.tree[node as usize] = winner;
+        }
+        for (node, lanes) in self.undo_lanes.drain(..).rev() {
+            self.lanes[node as usize] = lanes;
         }
     }
 
@@ -618,6 +707,67 @@ impl IncrementalSta {
             return;
         };
         self.set_net_max(net, max);
+    }
+
+    /// The leftmost maximal capture total of heavy net `net` and its arc,
+    /// read off the lane roots: the total at the farthest sinks, through
+    /// the leftmost of them. `None` for a light net, and when one unit
+    /// nearer totals no less, so a nearer arc further left could tie (the
+    /// caller rescans).
+    fn lane_max(&self, placement: &Placement, net: u32) -> Option<(f64, u32)> {
+        let start = self.lane_start[net as usize];
+        if start == NONE {
+            return None;
+        }
+        let driver = self.graph.capture[self.graph.capture_start[net as usize] as usize].driver;
+        let q = lane_keys(placement.loc(CellId(driver)));
+        let (mut dmax, mut arc) = (-1, NONE);
+        for (&(key, lane_arc), q) in self.lanes[start as usize + 1].iter().zip(q) {
+            let d = key - q;
+            if d > dmax || (d == dmax && lane_arc < arc) {
+                (dmax, arc) = (d, lane_arc);
+            }
+        }
+        // `arrive`'s arithmetic, at a distance of `d`.
+        let total = |d: i32| {
+            self.arrival[driver as usize] + self.graph.wire_ns(net, f64::from(d)) + SETUP_NS
+        };
+        let max = total(dmax);
+        if dmax > 0 && total(dmax - 1) >= max {
+            return None;
+        }
+        debug_assert!(
+            {
+                let scan = self.scan(placement, net);
+                scan.0.to_bits() == max.to_bits() && scan.1 == arc
+            },
+            "lane maximum of net {net} differs from its scan"
+        );
+        Some((max, arc))
+    }
+
+    /// Capture arc `arc` of heavy net `net` moved: its leaf takes the
+    /// sink's new keys, and each ancestor whose lanes change is rewritten.
+    fn move_lane_leaf(&mut self, placement: &Placement, arc: u32, net: u32) {
+        let lo = self.graph.capture_start[net as usize];
+        let width = (self.graph.capture_start[net as usize + 1] - lo).next_power_of_two();
+        let start = self.lane_start[net as usize] as usize;
+        let sink = self.graph.capture[arc as usize].sink;
+        let mut node = (width + arc - lo) as usize;
+        let mut lanes = lane_keys(placement.loc(CellId(sink))).map(|key| (key, arc));
+        while self.lanes[start + node] != lanes {
+            self.undo_lanes
+                .push(((start + node) as u32, self.lanes[start + node]));
+            self.lanes[start + node] = lanes;
+            if node == 1 {
+                break;
+            }
+            node /= 2;
+            lanes = lane_winners(
+                &self.lanes[start + 2 * node],
+                &self.lanes[start + 2 * node + 1],
+            );
+        }
     }
 
     /// The leftmost of nets `a < b` with the greater maximum.
@@ -1013,17 +1163,29 @@ mod tests {
         );
         assert_eq!(timer.period_ns().to_bits(), want.period_ns.to_bits());
         assert_eq!(timer.critical_path(), want.critical_path);
+        // Every net's maximum, not only the critical one's, is current.
+        for net in 0..timer.dirty.len() as u32 {
+            let (got, want) = (timer.net_max[net as usize], timer.scan(placement, net));
+            assert_eq!(
+                (got.0.to_bits(), got.1),
+                (want.0.to_bits(), want.1),
+                "{}: {step}, net {net}",
+                netlist.name
+            );
+        }
     }
 
     /// Drives `steps` random transactions of one to three moves, each
     /// committed or rolled back, checking the timer after every step.
-    /// Half the moves pull a critical-path cell, so the worst arcs move.
+    /// A third of the moves pull one of the `hot` cells, and half the
+    /// rest a critical-path cell, so the worst arcs move.
     fn drive(
         netlist: &Netlist,
         placement: &mut Placement,
         wire: &WireModel,
         steps: usize,
         seed: u64,
+        hot: &[CellId],
     ) {
         let mut rng = hlsb_rng::Rng::seed_from_u64(seed);
         let mut timer = IncrementalSta::new(netlist, wire, placement);
@@ -1033,7 +1195,9 @@ mod tests {
             let mut moved = Vec::new();
             for _ in 0..1 + rng.gen_index(3) {
                 let path = timer.critical_path();
-                let cell = if !path.is_empty() && rng.gen_bool(0.5) {
+                let cell = if !hot.is_empty() && rng.gen_bool(1.0 / 3.0) {
+                    hot[rng.gen_index(hot.len())]
+                } else if !path.is_empty() && rng.gen_bool(0.5) {
                     path[rng.gen_index(path.len())]
                 } else {
                     CellId(rng.gen_index(netlist.cell_count()) as u32)
@@ -1167,7 +1331,94 @@ mod tests {
                         .collect();
                     let mut p = Placement::from_locs(locs, side as u32, side as u32);
                     seed += 1;
-                    drive(&nl, &mut p, wire, 30, seed);
+                    drive(&nl, &mut p, wire, 30, seed, &[]);
+                }
+            }
+        }
+    }
+
+    /// Two nets of `arcs` capture arcs each: a register broadcast that
+    /// captures itself and three of its sinks twice, and a combinational
+    /// broadcast whose arrival follows its driver `r`; and a constant
+    /// driving `HEAVY_ARCS` registers. Returns the netlist and its
+    /// drivers.
+    fn heavy_netlist(arcs: usize) -> (Netlist, Vec<CellId>) {
+        let mut nl = Netlist::new(format!("heavy-{arcs}"));
+        let r = nl.add_cell(Cell::ff("r", 8));
+        let x = nl.add_cell(Cell::comb("x", 8, 0.3, 8));
+        let src = nl.add_cell(Cell::ff("src", 8));
+        let k = nl.add_cell(Cell::constant("k", 8));
+        let sinks: Vec<CellId> = (0..arcs)
+            .map(|i| nl.add_cell(Cell::ff(format!("b{i}"), 8)))
+            .collect();
+        nl.connect(r, &[x]);
+        nl.connect(x, &sinks[1..]);
+        nl.connect(x, &[src]);
+        let mut broadcast = sinks[..arcs - 4].to_vec();
+        broadcast.push(src);
+        broadcast.extend_from_slice(&sinks[arcs - 7..arcs - 4]);
+        nl.connect(src, &broadcast);
+        let constant: Vec<CellId> = sinks
+            .iter()
+            .copied()
+            .cycle()
+            .take(HEAVY_ARCS as usize)
+            .collect();
+        nl.connect(k, &constant);
+        nl.validate().expect("heavy netlist is valid");
+        (nl, vec![r, x, src, k])
+    }
+
+    #[test]
+    fn incremental_timer_matches_run_on_heavy_nets() {
+        // The calibrated model; one so flat that one unit nearer totals
+        // the same (the lanes must fall back to a scan), and one where
+        // that happens only at some distances; and the two models under
+        // which no net keeps lanes.
+        let models = [
+            wire(),
+            WireModel {
+                r_dist_ns: 1e-18,
+                ..wire()
+            },
+            WireModel {
+                r_dist_ns: 2e-16,
+                ..wire()
+            },
+            WireModel {
+                r_dist_ns: 0.0,
+                ..wire()
+            },
+            WireModel {
+                r_dist_ns: -0.001,
+                ..wire()
+            },
+        ];
+        let mut rng = hlsb_rng::Rng::seed_from_u64(0x1a5e);
+        for arcs in [HEAVY_ARCS as usize - 1, HEAVY_ARCS as usize, 2048] {
+            let (nl, drivers) = heavy_netlist(arcs);
+            for wire in &models {
+                // A small grid makes equally far sinks common.
+                for side in [6, 120] {
+                    let locs = (0..nl.cell_count())
+                        .map(|_| (rng.gen_index(side) as u16, rng.gen_index(side) as u16))
+                        .collect();
+                    let mut p = Placement::from_locs(locs, side as u32, side as u32);
+                    // The two broadcasts keep lanes from the threshold
+                    // up, and only under a model that grows with
+                    // distance; the constant never does.
+                    let heavy = IncrementalSta::new(&nl, wire, &p)
+                        .lane_start
+                        .iter()
+                        .filter(|&&start| start != NONE)
+                        .count();
+                    let want = if arcs >= HEAVY_ARCS as usize && wire.r_dist_ns > 0.0 {
+                        2
+                    } else {
+                        0
+                    };
+                    assert_eq!(heavy, want, "{arcs} arcs, r_dist {}", wire.r_dist_ns);
+                    drive(&nl, &mut p, wire, 40, rng.next_u64(), &drivers);
                 }
             }
         }
@@ -1195,7 +1446,7 @@ mod tests {
                     })
                     .collect();
                 let mut p = Placement::from_locs(locs, w, h);
-                drive(&nl, &mut p, &wire, 12, rng.next_u64());
+                drive(&nl, &mut p, &wire, 12, rng.next_u64(), &[]);
             }
         }
     }

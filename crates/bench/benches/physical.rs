@@ -64,13 +64,7 @@ fn main() {
     let netlist = lowered(&hlsb_benchmarks::stencil::design(2), 3.0);
     let device = Device::ultrascale_plus_vu9p();
     let wire = WireModel::for_device(&device);
-    let fast = AnnealConfig {
-        moves_per_cell: 12,
-        min_moves: 3_000,
-        max_moves: 60_000,
-        cooling: 0.8,
-        batches: 25,
-    };
+    let fast = AnnealConfig::fast();
 
     time_it("place_stencil2_fast", 10, || {
         place_with(&netlist, &device, 7, fast)

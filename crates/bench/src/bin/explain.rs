@@ -4,19 +4,20 @@
 //! buffers landed).
 //!
 //! ```text
-//! explain [<benchmark>] [none|data|skid|all]
+//! explain [<benchmark>] [none|data|skid|all|<mask>]
 //! ```
 //!
-//! The benchmark defaults to `genome`, the level to `none`.
+//! The benchmark defaults to `genome`, the level (a preset or a toggle
+//! mask such as `B-K-`) to `none`.
 //!
 //! Exit status is 2 on usage errors (an unknown benchmark or level
 //! included), 0 otherwise; `--help` prints the usage and exits 0.
 
 use hlsb::Flow;
-use hlsb_bench::{parse_level, resolve_benchmark, SEED};
+use hlsb_bench::{resolve_benchmark, SEED};
 use hlsb_findings::cli::{self, Arg, CliError};
 
-const USAGE: &str = "usage: explain [<benchmark>] [none|data|skid|all]";
+const USAGE: &str = "usage: explain [<benchmark>] [none|data|skid|all|<mask>]";
 
 fn main() {
     let mut positional: Vec<String> = Vec::new();
@@ -29,7 +30,7 @@ fn main() {
         }
         let name = positional.first().map_or("genome", String::as_str);
         let level = positional.get(1).map_or("none", String::as_str);
-        let options = parse_level(level)?;
+        let options = cli::positional("optimization level", level)?;
         let bench = resolve_benchmark(name)?;
         Ok((bench, level, options))
     });

@@ -12,19 +12,19 @@
 //! For every selected benchmark the explorer searches the HLS clock
 //! target per configuration until it converges — within `--tolerance` —
 //! to the highest target the implementation still signs off at. A
-//! configuration spec is a preset (`none`, `all`), a 4-character toggle
-//! mask (`BS-M`), optionally with a `+rB.B` register-injection suffix
-//! (`all+r1.2`); the default set is `none,all,all+r1`. `--budget` caps
-//! fresh full (place-and-route) evaluations per design; probes and
-//! frequency-log hits are free. `--log` persists every trial as JSONL
-//! keyed by the flow's config key — re-running with the same log resumes
-//! an interrupted search and reproduces the same table without
-//! re-running completed trials. `--trace-out` writes the explorer's
-//! `explore.*` span tree as JSONL (one tree per benchmark,
-//! length-prefixed by a `# design` comment line). `--ledger` appends one
-//! run-ledger record per flow evaluation plus one `explore` campaign
-//! record per benchmark; `--metrics-out` writes the merged search
-//! metrics in the Prometheus text format.
+//! configuration spec is a preset (`none`, `data`, `skid`, `all`) or a
+//! 4-character toggle mask (`BS-M`), optionally with a `+rB.B`
+//! register-injection suffix (`all+r1.2`); the default set is
+//! `none,all,all+r1`. `--budget` caps fresh full (place-and-route)
+//! evaluations per design; probes and frequency-log hits are free.
+//! `--log` persists every trial as JSONL keyed by the flow's config key —
+//! re-running with the same log resumes an interrupted search and
+//! reproduces the same table without re-running completed trials.
+//! `--trace-out` writes the explorer's `explore.*` span tree as JSONL
+//! (one tree per benchmark, length-prefixed by a `# design` comment
+//! line). `--ledger` appends one run-ledger record per flow evaluation
+//! plus one `explore` campaign record per benchmark; `--metrics-out`
+//! writes the merged search metrics in the Prometheus text format.
 //!
 //! Exit status is 2 on usage errors, 1 if any converged configuration
 //! fails its differential-simulation or contract check, 0 otherwise;
@@ -66,8 +66,8 @@ const USAGE: &str = "usage: explore [--design <name>|all] [--configs <spec>[,<sp
                      \x20              [--seed <n>] [--verify-iters <n>] [--log <path>]\n\
                      \x20              [--format table|jsonl] [--trace-out <path>]\n\
                      \x20              [--ledger <path>] [--metrics-out <path>] [--list]\n\
-                     \x20  config specs: none | all | 4-char mask (e.g. BS-M), each with an\n\
-                     \x20  optional +rB.B injection suffix (e.g. all+r1.2)";
+                     \x20  config specs: none | data | skid | all | 4-char mask (e.g. BS-M),\n\
+                     \x20  each with an optional +rB.B injection suffix (e.g. all+r1.2)";
 
 fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     let mut args = Args {

@@ -1,21 +1,22 @@
 //! Exports a benchmark's implemented netlist as structural Verilog.
 //!
 //! ```text
-//! export [<benchmark>] [none|data|skid|all] [<output.v>]
+//! export [<benchmark>] [none|data|skid|all|<mask>] [<output.v>]
 //! ```
 //!
-//! The benchmark defaults to `genome`, the level to `all`; without an
-//! output path the Verilog goes to stdout.
+//! The benchmark defaults to `genome`, the level (a preset or a toggle
+//! mask such as `B-K-`) to `all`; without an output path the Verilog
+//! goes to stdout.
 //!
 //! Exit status is 2 on usage errors (an unknown benchmark or level
 //! included), 0 otherwise; `--help` prints the usage and exits 0.
 
 use hlsb::Flow;
-use hlsb_bench::{parse_level, resolve_benchmark, SEED};
+use hlsb_bench::{resolve_benchmark, SEED};
 use hlsb_findings::cli::{self, Arg, CliError};
 use hlsb_netlist::to_verilog;
 
-const USAGE: &str = "usage: export [<benchmark>] [none|data|skid|all] [<output.v>]";
+const USAGE: &str = "usage: export [<benchmark>] [none|data|skid|all|<mask>] [<output.v>]";
 
 fn main() {
     let mut positional: Vec<String> = Vec::new();
@@ -27,7 +28,10 @@ fn main() {
             }
         }
         let name = positional.first().map_or("genome", String::as_str);
-        let options = parse_level(positional.get(1).map_or("all", String::as_str))?;
+        let options = cli::positional(
+            "optimization level",
+            positional.get(1).map_or("all", String::as_str),
+        )?;
         Ok((resolve_benchmark(name)?, options))
     });
     let (result, netlist, _) = Flow::new(bench.design.clone())

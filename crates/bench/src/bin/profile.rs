@@ -1,7 +1,7 @@
 //! `profile` — self-time profile of the flow's span tree.
 //!
 //! ```text
-//! profile [<benchmark>|all] [none|data|skid|all]
+//! profile [<benchmark>|all] [none|data|skid|all|<mask>]
 //!         [--partitions <n>|auto|off] [--trace-in <path>]
 //!         [--collapsed-out <path>]
 //! ```
@@ -23,13 +23,13 @@
 //! cannot be written, 0 otherwise; `--help` prints the usage and exits 0.
 
 use hlsb::{FlowSession, OptimizationOptions, Partitioning, TraceTree};
-use hlsb_bench::{benchmark_flow, expect_all, parse_level, resolve_benchmarks};
+use hlsb_bench::{benchmark_flow, expect_all, resolve_benchmarks};
 use hlsb_benchmarks::Benchmark;
 use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_telemetry::{collapsed_stacks, render_table, self_time};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: profile [<benchmark>|all] [none|data|skid|all]\n\
+const USAGE: &str = "usage: profile [<benchmark>|all] [none|data|skid|all|<mask>]\n\
                      \x20              [--partitions <n>|auto|off] [--trace-in <path>]\n\
                      \x20              [--collapsed-out <path>]";
 
@@ -67,7 +67,7 @@ fn parse_args(cli: &mut Cli) -> Result<(Source, Option<String>), CliError> {
             let name = positional.first().map_or("genome", String::as_str);
             let level = positional.get(1).map_or("all", String::as_str);
             Source::Run {
-                options: parse_level(level)?,
+                options: cli::positional("optimization level", level)?,
                 benches: resolve_benchmarks(name)?,
                 level: level.to_string(),
                 partitions,

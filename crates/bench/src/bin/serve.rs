@@ -14,10 +14,11 @@
 //! *fresh* server over the same store, so pass 1 is the cold-store cost
 //! and later passes the warm-store cost (the EXPERIMENTS.md throughput
 //! curve: cold vs warm × worker count). `--repeat r` duplicates the
-//! stream in-pass to measure in-run dedup instead. With `--emit` the
-//! generated job lines are printed instead of served (pipe them to
-//! `hlsb-serve`). `--timing-out` appends one JSONL row per pass — the
-//! tracked throughput artifact.
+//! stream in-pass to measure in-run dedup instead. `--options` (default
+//! `none`) takes a preset or a toggle mask such as `B-K-`; every job line
+//! carries it as the mask. With `--emit` the generated job lines are
+//! printed instead of served (pipe them to `hlsb-serve`). `--timing-out`
+//! appends one JSONL row per pass — the tracked throughput artifact.
 //!
 //! Exit status is 2 on usage errors or an unopenable store, 1 when any
 //! job fails, 0 otherwise; `--help` prints the usage and exits 0.
@@ -26,6 +27,7 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use hlsb::OptimizationOptions;
 use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_serve::{JobServer, JobStatus, ServeConfig};
 use hlsb_store::ArtifactStore;
@@ -34,7 +36,7 @@ struct Args {
     load: usize,
     designs: Vec<String>,
     dirty_every: usize,
-    options: String,
+    options: OptimizationOptions,
     repeat: usize,
     passes: usize,
     workers: usize,
@@ -55,7 +57,7 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
         load: 0,
         designs: Vec::new(),
         dirty_every: 0,
-        options: "none".to_string(),
+        options: OptimizationOptions::none(),
         repeat: 1,
         passes: 1,
         workers: 0,
@@ -80,10 +82,7 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
                 };
             }
             Arg::Flag("--dirty-every") => args.dirty_every = cli.parse()?,
-            Arg::Flag("--options") => {
-                args.options = cli.value()?;
-                cli.ensure(hlsb_serve::parse_options(&args.options).is_some())?;
-            }
+            Arg::Flag("--options") => args.options = cli.parse()?,
             Arg::Flag("--repeat") => args.repeat = cli.parse::<usize>()?.max(1),
             Arg::Flag("--passes") => args.passes = cli.parse::<usize>()?.max(1),
             Arg::Flag("--workers") => args.workers = cli.parse()?,

@@ -3,11 +3,12 @@
 //! the physical fabric has the last word).
 //!
 //! ```text
-//! sweep [<benchmark>] [none|data|skid|all]
+//! sweep [<benchmark>] [none|data|skid|all|<mask>]
 //!       [--partitions <n>|auto|off] [--trace-out <path>]
 //! ```
 //!
-//! The benchmark defaults to `genome`, the level to `all`.
+//! The benchmark defaults to `genome`, the level (a preset or a toggle
+//! mask such as `B-K-`) to `all`.
 //! The targets run through one [`hlsb::FlowSession`]: the front-end
 //! artifact is clock-independent, so all seven flows unroll once and the
 //! sweep parallelizes across clock targets up to the thread budget.
@@ -23,12 +24,12 @@
 //! prints the usage and exits 0.
 
 use hlsb::{chrome_trace, Flow, FlowSession, Partitioning};
-use hlsb_bench::{expect_all, parse_level, pass_summary, resolve_benchmark, SEED};
+use hlsb_bench::{expect_all, pass_summary, resolve_benchmark, SEED};
 use hlsb_findings::cli::{self, Arg, CliError};
 
 const TARGETS: [f64; 7] = [150.0, 200.0, 250.0, 300.0, 333.0, 400.0, 500.0];
 
-const USAGE: &str = "usage: sweep [<benchmark>] [none|data|skid|all]\n\
+const USAGE: &str = "usage: sweep [<benchmark>] [none|data|skid|all|<mask>]\n\
                      \x20            [--partitions <n>|auto|off] [--trace-out <path>]";
 
 fn main() {
@@ -46,7 +47,7 @@ fn main() {
         }
         let name = positional.first().map_or("genome", String::as_str);
         let level = positional.get(1).map_or("all", String::as_str);
-        let options = parse_level(level)?;
+        let options = cli::positional("optimization level", level)?;
         Ok((resolve_benchmark(name)?, level, options))
     });
 

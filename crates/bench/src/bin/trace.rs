@@ -2,7 +2,7 @@
 //! decision provenance.
 //!
 //! ```text
-//! trace [<benchmark>|all] [none|data|skid|all]
+//! trace [<benchmark>|all] [none|data|skid|all|<mask>]
 //!       [--partitions <n>|auto|off] [--trace-out <path>] [--jsonl-out <path>]
 //! ```
 //!
@@ -22,11 +22,11 @@
 //! prints the usage and exits 0.
 
 use hlsb::{chrome_trace, FlowSession, MetricsRegistry, Partitioning, TraceTree};
-use hlsb_bench::{benchmark_flow, expect_all, parse_level, resolve_benchmarks};
+use hlsb_bench::{benchmark_flow, expect_all, resolve_benchmarks};
 use hlsb_findings::cli::{self, Arg, CliError};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: trace [<benchmark>|all] [none|data|skid|all]\n\
+const USAGE: &str = "usage: trace [<benchmark>|all] [none|data|skid|all|<mask>]\n\
                      \x20            [--partitions <n>|auto|off]\n\
                      \x20            [--trace-out <path>] [--jsonl-out <path>]";
 
@@ -59,7 +59,7 @@ fn main() -> ExitCode {
         }
         let name = positional.first().map_or("genome", String::as_str);
         let level = positional.get(1).map_or("all", String::as_str);
-        let options = parse_level(level)?;
+        let options = cli::positional("optimization level", level)?;
         Ok((resolve_benchmarks(name)?, level, options))
     });
 

@@ -21,32 +21,12 @@
 //! framework is used.
 
 use hlsb::{Flow, ImplementationResult, OptimizationOptions, PassTrace, PlaceEffort};
-use hlsb_benchmarks::{all_benchmarks, Benchmark};
+use hlsb_benchmarks::{all_benchmarks, find_benchmark, Benchmark};
 use hlsb_fabric::Device;
 use hlsb_findings::cli::CliError;
 
 /// Shared deterministic seed for every experiment.
 pub const SEED: u64 = 0xDAC2_2020;
-
-// Benchmark resolution moved into `hlsb-benchmarks` so the compile-farm
-// server (`hlsb-serve`) can address designs by name too; re-exported here
-// so the experiment binaries keep their import paths.
-pub use hlsb_benchmarks::{find_benchmark, synthetic_benchmarks};
-
-/// Reads an optimization level, the positional the diagnostic binaries
-/// take: `none`, `data` (broadcast-aware only), `skid` (plain skid
-/// control) or `all`.
-pub fn parse_level(level: &str) -> Result<OptimizationOptions, CliError> {
-    match level {
-        "none" => Ok(OptimizationOptions::none()),
-        "data" => Ok(OptimizationOptions::data_only()),
-        "skid" => Ok(OptimizationOptions::skid_plain()),
-        "all" => Ok(OptimizationOptions::all()),
-        other => Err(CliError::usage(format!(
-            "unknown optimization level `{other}` (want none|data|skid|all)"
-        ))),
-    }
-}
 
 /// Reads a `--target` device name: `vu9p`, `zc706`, `u50` or `virtex7`.
 pub fn device_by_name(name: &str) -> Option<Device> {
@@ -205,20 +185,6 @@ pub fn table1_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn levels_are_the_four_names_and_nothing_else() {
-        assert_eq!(parse_level("none"), Ok(OptimizationOptions::none()));
-        assert_eq!(parse_level("data"), Ok(OptimizationOptions::data_only()));
-        assert_eq!(parse_level("skid"), Ok(OptimizationOptions::skid_plain()));
-        assert_eq!(parse_level("all"), Ok(OptimizationOptions::all()));
-        assert_eq!(
-            parse_level("bogus"),
-            Err(CliError::usage(
-                "unknown optimization level `bogus` (want none|data|skid|all)"
-            ))
-        );
-    }
 
     #[test]
     fn targets_name_the_four_devices() {

@@ -80,16 +80,9 @@ pub use hlsb_trace::{chrome_trace, MetricsRegistry, TraceTree, Tracer};
 pub use hlsb_ctrl as ctrl;
 pub use hlsb_delay as delay;
 pub use hlsb_fabric as fabric;
-pub use hlsb_findings as findings;
 pub use hlsb_ir as ir;
 pub use hlsb_lint as lint;
-pub use hlsb_netlist as netlist;
-pub use hlsb_place as place;
 pub use hlsb_rtlgen as rtlgen;
 pub use hlsb_sched as sched;
 pub use hlsb_sim as sim;
 pub use hlsb_store as store;
-pub use hlsb_sync as sync;
-pub use hlsb_timing as timing;
-pub use hlsb_trace as spantrace;
-pub use hlsb_verify as verify;

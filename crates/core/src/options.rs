@@ -4,8 +4,10 @@
 //! of [`OptimizationOptions`] by its `Display`) and read back by its
 //! `FromStr`: every record, job line, report label and command line
 //! goes through these two, so `label().parse()` always round-trips.
-//! The one other form is the write-only long label persisted on trace
-//! root spans.
+//! [`OptimizationOptions`]' reader also takes four named presets
+//! (`none`, `data`, `skid`, `all`), the short forms command lines use.
+//! The one other written form is the long label persisted on trace root
+//! spans, which nothing reads back.
 
 use std::fmt;
 use std::str::FromStr;
@@ -112,8 +114,17 @@ impl fmt::Display for OptimizationOptions {
 impl FromStr for OptimizationOptions {
     type Err = ParseKnobError;
 
-    /// Reads the toggle mask [`Display`](fmt::Display) writes.
+    /// Reads the toggle mask [`Display`](fmt::Display) writes, or a named
+    /// preset: `none`, `data` ([`data_only`](Self::data_only)), `skid`
+    /// ([`skid_plain`](Self::skid_plain)) or `all`.
     fn from_str(s: &str) -> Result<Self, ParseKnobError> {
+        match s {
+            "none" => return Ok(OptimizationOptions::none()),
+            "data" => return Ok(OptimizationOptions::data_only()),
+            "skid" => return Ok(OptimizationOptions::skid_plain()),
+            "all" => return Ok(OptimizationOptions::all()),
+            _ => {}
+        }
         let toggle = |i: usize| match (s.as_bytes().get(i), b"BSKM"[i]) {
             (Some(&c), letter) if c == letter => Ok(true),
             (Some(b'-'), _) => Ok(false),
@@ -412,7 +423,11 @@ mod tests {
 
     #[test]
     fn knob_parsers_reject_other_spellings() {
-        for bad in ["", "r", "r1..2", "fastest", "-1"] {
+        // `base` and `opt` were explore's aliases; the lowercase job mask
+        // is read only by the job-line decoder.
+        for bad in [
+            "", "r", "r1..2", "fastest", "-1", "base", "opt", "bskm", "All",
+        ] {
             assert_eq!(
                 bad.parse::<OptimizationOptions>(),
                 Err(ParseKnobError),
@@ -425,6 +440,43 @@ mod tests {
                 Err(ParseKnobError),
                 "{bad:?}"
             );
+        }
+    }
+
+    #[test]
+    fn earlier_spellings_keep_their_values() {
+        // Every spelling a command line took before the option set had
+        // one reader, with the value it read to then: the 16 masks and
+        // the diagnostic binaries' four levels (explore's `none` and
+        // `all` among them).
+        let mut old: Vec<(String, OptimizationOptions)> = (0..16u8)
+            .map(|code| {
+                let letter = |bit: u8, c: char| if code & bit != 0 { c } else { '-' };
+                let mask = [
+                    letter(1, 'B'),
+                    letter(2, 'S'),
+                    letter(4, 'K'),
+                    letter(8, 'M'),
+                ];
+                let options = OptimizationOptions {
+                    broadcast_aware: code & 1 != 0,
+                    sync_pruning: code & 2 != 0,
+                    skid_buffer: code & 4 != 0,
+                    min_area_skid: code & 8 != 0,
+                };
+                (mask.iter().collect(), options)
+            })
+            .collect();
+        for (name, options) in [
+            ("none", OptimizationOptions::none()),
+            ("data", OptimizationOptions::data_only()),
+            ("skid", OptimizationOptions::skid_plain()),
+            ("all", OptimizationOptions::all()),
+        ] {
+            old.push((name.to_string(), options));
+        }
+        for (spelling, options) in old {
+            assert_eq!(spelling.parse(), Ok(options), "{spelling}");
         }
     }
 

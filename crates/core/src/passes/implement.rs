@@ -414,13 +414,7 @@ pub(crate) fn run(
     Option<PartitionReport>,
 ) {
     let anneal = match effort {
-        PlaceEffort::Fast => AnnealConfig {
-            moves_per_cell: 12,
-            min_moves: 3_000,
-            max_moves: 60_000,
-            cooling: 0.8,
-            batches: 25,
-        },
+        PlaceEffort::Fast => AnnealConfig::fast(),
         PlaceEffort::Normal => AnnealConfig::default(),
     };
     let wire = WireModel::for_device(device);

@@ -14,7 +14,7 @@
 //!
 //! * [`KnobSpace`] / [`DseConfig`] — the typed space and its points
 //!   ([`KnobSpace::optimization_cube`] is the paper's 4-bit cube).
-//! * [`Metrics`], [`pareto_indices`], [`pareto_ranks`] — objectives and
+//! * [`objective`] — the [`Metrics`](objective::Metrics) objectives and
 //!   non-dominated sorting.
 //! * [`Strategy`] — exhaustive grid, seeded random, or successive halving
 //!   (cheap front-end/schedule/lint probes rank candidates, only the
@@ -62,6 +62,5 @@ pub mod strategy;
 
 pub use explore::{DseReport, EvaluatedPoint, Explorer};
 pub use hlsb::DEFAULT_VERIFY_ITERS;
-pub use objective::{pareto_indices, pareto_ranks, Metrics};
 pub use space::{DseConfig, KnobSpace};
 pub use strategy::{proxy_metrics, Strategy};

@@ -114,21 +114,16 @@ impl ExploreConfig {
     }
 
     /// Parses a configuration spec as accepted by the `explore` CLI:
-    /// a preset (`none`/`base`, `all`/`opt`) or a toggle mask of
-    /// [`OptimizationOptions`] (`BSKM` with `-` for an off toggle, e.g.
-    /// `B--M`), optionally followed by `+rB.B` naming injection
-    /// boundaries (`all+r1.2`).
-    /// Returns `None` for anything else.
+    /// anything [`OptimizationOptions`]' `FromStr` reads (a preset
+    /// `none`/`data`/`skid`/`all` or a toggle mask such as `B--M`),
+    /// optionally followed by `+rB.B` naming injection boundaries
+    /// (`all+r1.2`). Returns `None` for anything else.
     pub fn parse(spec: &str) -> Option<ExploreConfig> {
         let (mask, inject) = match spec.find("+r") {
             Some(at) => (&spec[..at], spec[at + 1..].parse().ok()?),
             None => (spec, RegisterInjection::Off),
         };
-        let options = match mask {
-            "none" | "base" => OptimizationOptions::default(),
-            "all" | "opt" => OptimizationOptions::all(),
-            mask => mask.parse().ok()?,
-        };
+        let options = mask.parse().ok()?;
         Some(ExploreConfig {
             inject,
             ..ExploreConfig::new(options)
@@ -168,6 +163,13 @@ mod tests {
         let mixed = ExploreConfig::parse("B--M").expect("mask parses");
         assert!(mixed.options.broadcast_aware && mixed.options.min_area_skid);
         assert!(!mixed.options.sync_pruning && !mixed.options.skid_buffer);
+        assert_eq!(
+            ExploreConfig::parse("data"),
+            Some(ExploreConfig::new(OptimizationOptions::data_only()))
+        );
+        for gone in ["base", "opt", "opt+r1"] {
+            assert_eq!(ExploreConfig::parse(gone), None, "{gone}");
+        }
         assert_eq!(ExploreConfig::parse("B-"), None);
         assert_eq!(ExploreConfig::parse("XSKM"), None);
         assert_eq!(ExploreConfig::parse("all+r"), None);

@@ -160,6 +160,14 @@ impl Cli {
     }
 }
 
+/// Reads the positional `token` with `FromStr`; a usage error names
+/// `what` it was meant to be and the token.
+pub fn positional<T: FromStr>(what: &str, token: &str) -> Result<T, CliError> {
+    token
+        .parse()
+        .map_err(|_| CliError::usage(format!("bad {what} `{token}`")))
+}
+
 /// Reads the process's command line with `parse`. On help or a usage
 /// error it reports as described in the module doc and exits.
 pub fn parse_env<T>(
@@ -238,6 +246,15 @@ mod tests {
             Err(CliError::usage("--clock needs a value"))
         );
         assert_eq!(c.next_arg(), Ok(None));
+    }
+
+    #[test]
+    fn positionals_parse_or_name_the_token() {
+        assert_eq!(positional::<u32>("count", "12"), Ok(12));
+        assert_eq!(
+            positional::<u32>("count", "x1"),
+            Err(CliError::usage("bad count `x1`"))
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use hlsb_fabric::{Device, WireModel};
 use hlsb_ir::Design;
 use hlsb_rtlgen::ScheduledLoop;
 
-/// Everything a [`Rule`](crate::Rule) needs, built once per run.
+/// Everything a [`Rule`](crate::rules::Rule) needs, built once per run.
 pub struct LintContext<'a> {
     /// The design under analysis.
     pub design: &'a Design,

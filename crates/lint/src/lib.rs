@@ -35,7 +35,7 @@ pub mod rules;
 pub use context::LintContext;
 pub use diag::{Diagnostic, LintReport, Location, Severity};
 pub use render::{render_jsonl, render_sarif, render_table};
-pub use rules::{all_rules, rule_metas, Rule};
+pub use rules::{all_rules, rule_metas};
 
 use hlsb_fabric::Device;
 use hlsb_ir::Design;

@@ -44,6 +44,21 @@ impl Default for AnnealConfig {
     }
 }
 
+impl AnnealConfig {
+    /// The reduced schedule for tests and quick iterations (the flow's
+    /// Fast placement effort): 12 moves per cell in 25 batches cooled by
+    /// 0.8, clamped to 3 000–60 000 moves.
+    pub fn fast() -> Self {
+        AnnealConfig {
+            moves_per_cell: 12,
+            min_moves: 3_000,
+            max_moves: 60_000,
+            cooling: 0.8,
+            batches: 25,
+        }
+    }
+}
+
 /// Places a netlist on a device with the default annealing configuration.
 ///
 /// # Panics
@@ -1585,14 +1600,7 @@ mod tests {
 
     #[test]
     fn acceptance_table_matches_direct_formula() {
-        let fast = AnnealConfig {
-            moves_per_cell: 12,
-            min_moves: 3_000,
-            max_moves: 60_000,
-            cooling: 0.8,
-            batches: 25,
-        };
-        for config in [AnnealConfig::default(), fast] {
+        for config in [AnnealConfig::default(), AnnealConfig::fast()] {
             let mut temp = 2.0;
             for batch in 0..config.batches {
                 let mut accept = Acceptance::new(temp);
@@ -1746,13 +1754,7 @@ mod tests {
             .collect();
         nl.connect(src, &extra);
         let d = Device::ultrascale_plus_vu9p();
-        let fast = AnnealConfig {
-            moves_per_cell: 12,
-            min_moves: 3_000,
-            max_moves: 60_000,
-            cooling: 0.8,
-            batches: 25,
-        };
+        let fast = AnnealConfig::fast();
         let region = Region {
             x0: 20,
             y0: 10,

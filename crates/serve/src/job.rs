@@ -70,46 +70,29 @@ impl Default for JobSpec {
     }
 }
 
-/// Renders an optimization mask as a compact flag string: `none`, or a
-/// subset of `bskm` (broadcast_aware, sync_pruning, skid_buffer,
-/// min_area_skid) in that fixed order — `bskm` is
-/// [`OptimizationOptions::all`].
-pub fn options_mask(o: &OptimizationOptions) -> String {
-    let mut s = String::new();
-    for (on, c) in [
-        (o.broadcast_aware, 'b'),
-        (o.sync_pruning, 's'),
-        (o.skid_buffer, 'k'),
-        (o.min_area_skid, 'm'),
-    ] {
-        if on {
-            s.push(c);
-        }
-    }
-    if s.is_empty() {
-        "none".to_string()
-    } else {
-        s
-    }
-}
-
-/// Parses an optimization mask: `none`, `all`, or any combination of
-/// the `bskm` flag letters (order-insensitive). Returns `None` for
-/// unknown characters.
-pub fn parse_options(s: &str) -> Option<OptimizationOptions> {
-    match s {
+/// Reads the lowercase job mask written before job lines carried the
+/// [`OptimizationOptions`] toggle mask: `none`, `all`, or a non-empty set
+/// of the distinct letters `b`, `s`, `k`, `m` (broadcast_aware,
+/// sync_pruning, skid_buffer, min_area_skid) in any order. Persisted job
+/// lines still use it.
+fn legacy_options(mask: &str) -> Option<OptimizationOptions> {
+    match mask {
         "none" => return Some(OptimizationOptions::none()),
         "all" => return Some(OptimizationOptions::all()),
+        "" => return None,
         _ => {}
     }
     let mut o = OptimizationOptions::none();
-    for c in s.chars() {
-        match c {
-            'b' => o.broadcast_aware = true,
-            's' => o.sync_pruning = true,
-            'k' => o.skid_buffer = true,
-            'm' => o.min_area_skid = true,
+    for c in mask.chars() {
+        let toggle = match c {
+            'b' => &mut o.broadcast_aware,
+            's' => &mut o.sync_pruning,
+            'k' => &mut o.skid_buffer,
+            'm' => &mut o.min_area_skid,
             _ => return None,
+        };
+        if std::mem::replace(toggle, true) {
+            return None;
         }
     }
     Some(o)
@@ -131,7 +114,7 @@ impl JobSpec {
             json_escape(&self.id),
             json_escape(&self.design),
             clock,
-            options_mask(&self.options),
+            self.options,
             self.seed,
             self.place_seeds,
             self.effort.label(),
@@ -161,8 +144,11 @@ impl JobSpec {
             job.clock_mhz = Some(mhz);
         }
         if let Some(mask) = o.opt::<String>("options")? {
-            job.options =
-                parse_options(&mask).ok_or_else(|| format!("bad `options` mask `{mask}`"))?;
+            job.options = mask
+                .parse()
+                .ok()
+                .or_else(|| legacy_options(&mask))
+                .ok_or_else(|| format!("bad `options` mask `{mask}`"))?;
         }
         job.seed = o.opt("seed")?.unwrap_or(job.seed);
         job.place_seeds = o.opt("place_seeds")?.unwrap_or(job.place_seeds);
@@ -186,33 +172,29 @@ impl JobSpec {
     /// stays authoritative). Fails with a deterministic message for an
     /// unknown design reference.
     pub fn resolve(&self) -> Result<(Flow, String), String> {
-        let (design, default_clock) = if let Some(seed) = self.design.strip_prefix("fuzz:") {
+        let (flow, default_clock) = if let Some(seed) = self.design.strip_prefix("fuzz:") {
             let seed: u64 = seed
                 .parse()
                 .map_err(|_| format!("bad fuzz seed in `{}`", self.design))?;
-            (hlsb_sim::fuzz::random_design(seed), 300.0)
+            (Flow::new(hlsb_sim::fuzz::random_design(seed)), 300.0)
         } else if let Some(seed) = self.design.strip_prefix("dirty:") {
             let seed: u64 = seed
                 .parse()
                 .map_err(|_| format!("bad dirty seed in `{}`", self.design))?;
-            (hlsb_sim::fuzz::random_dirty_design(seed).0, 300.0)
+            (
+                Flow::new(hlsb_sim::fuzz::random_dirty_design(seed).0),
+                300.0,
+            )
         } else {
             let bench = hlsb_benchmarks::find_benchmark(&self.design)
                 .ok_or_else(|| format!("no benchmark matches `{}`", self.design))?;
-            let clock = bench.clock_mhz;
-            let flow = Flow::new(bench.design)
-                .device(bench.device)
-                .clock_mhz(self.clock_mhz.unwrap_or(clock))
-                .options(self.options)
-                .seed(self.seed)
-                .place_seeds(self.place_seeds)
-                .place_effort(self.effort)
-                .partitions(self.partitions)
-                .inject(self.inject.clone());
-            return Ok((flow, self.label(self.clock_mhz.unwrap_or(clock))));
+            (
+                Flow::new(bench.design).device(bench.device),
+                bench.clock_mhz,
+            )
         };
         let clock = self.clock_mhz.unwrap_or(default_clock);
-        let flow = Flow::new(design)
+        let flow = flow
             .clock_mhz(clock)
             .options(self.options)
             .seed(self.seed)
@@ -230,7 +212,7 @@ impl JobSpec {
             "{} @{:?}MHz {} s{} x{} {} p{} {}",
             self.design,
             clock_mhz,
-            options_mask(&self.options),
+            self.options,
             self.seed,
             self.place_seeds,
             self.effort.label(),
@@ -250,7 +232,7 @@ mod tests {
             id: "j \"1\"".to_string(),
             design: "fuzz:42".to_string(),
             clock_mhz: Some(312.75),
-            options: parse_options("bk").unwrap(),
+            options: "B-K-".parse().unwrap(),
             seed: 7,
             place_seeds: 2,
             effort: PlaceEffort::Normal,
@@ -284,6 +266,9 @@ mod tests {
         for (line, field) in [
             ("{\"design\":\"g\",\"clock_mhz\":-3.0}", "clock_mhz"),
             ("{\"design\":\"g\",\"options\":\"xyz\"}", "options"),
+            ("{\"design\":\"g\",\"options\":\"\"}", "options"),
+            ("{\"design\":\"g\",\"options\":\"bb\"}", "options"),
+            ("{\"design\":\"g\",\"options\":\"b-k-\"}", "options"),
             ("{\"design\":\"g\",\"seed\":-1}", "seed"),
             ("{\"design\":\"g\",\"effort\":\"slow\"}", "effort"),
             ("{\"design\":\"g\",\"partitions\":\"many\"}", "partitions"),
@@ -336,14 +321,60 @@ mod tests {
     }
 
     #[test]
-    fn masks_round_trip() {
-        for mask in ["none", "b", "sk", "bskm"] {
-            let o = parse_options(mask).unwrap();
-            assert_eq!(options_mask(&o), mask);
+    fn legacy_masks_read_as_before_except_empty_and_repeats() {
+        // The lowercase reader job lines were written for, which also
+        // took "" and repeated letters.
+        let before = |s: &str| match s {
+            "none" => Some(OptimizationOptions::none()),
+            "all" => Some(OptimizationOptions::all()),
+            _ => s.chars().try_fold(OptimizationOptions::none(), |mut o, c| {
+                match c {
+                    'b' => o.broadcast_aware = true,
+                    's' => o.sync_pruning = true,
+                    'k' => o.skid_buffer = true,
+                    'm' => o.min_area_skid = true,
+                    _ => return None,
+                }
+                Some(o)
+            }),
+        };
+        // Every string of up to five letters over `bskmz`.
+        let mut spellings = vec![String::new(), "none".into(), "all".into()];
+        let mut frontier = vec![String::new()];
+        for _ in 0..5 {
+            frontier = frontier
+                .iter()
+                .flat_map(|s| "bskmz".chars().map(move |c| format!("{s}{c}")))
+                .collect();
+            spellings.extend(frontier.iter().cloned());
         }
-        assert_eq!(parse_options("all").unwrap(), OptimizationOptions::all());
-        assert_eq!(options_mask(&OptimizationOptions::all()), "bskm");
-        assert!(parse_options("bz").is_none());
+        let mut accepted = 0;
+        for s in &spellings {
+            let mut letters: Vec<char> = s.chars().collect();
+            letters.sort_unstable();
+            letters.dedup();
+            let strict = !s.is_empty() && letters.len() == s.len();
+            let expected = before(s).filter(|_| strict || s == "none" || s == "all");
+            accepted += usize::from(expected.is_some());
+            assert_eq!(legacy_options(s), expected, "{s:?}");
+        }
+        // `none`, `all` and the 64 ordered non-empty sets of distinct
+        // letters.
+        assert_eq!(accepted, 2 + 4 + 12 + 24 + 24);
+        for (mask, canonical) in [
+            ("none", "----"),
+            ("all", "BSKM"),
+            ("kb", "B-K-"),
+            ("msbk", "BSKM"),
+        ] {
+            let legacy =
+                JobSpec::from_json(&format!("{{\"design\":\"g\",\"options\":\"{mask}\"}}"));
+            let job = legacy.expect("legacy mask parses");
+            assert_eq!(job.options.to_string(), canonical);
+            assert!(job
+                .to_json()
+                .contains(&format!("\"options\":\"{canonical}\"")));
+        }
     }
 
     #[test]

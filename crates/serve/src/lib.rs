@@ -29,5 +29,5 @@
 pub mod job;
 pub mod server;
 
-pub use job::{options_mask, parse_options, JobSpec};
+pub use job::JobSpec;
 pub use server::{JobOutcome, JobServer, JobStatus, ServeConfig, ServeSummary};

@@ -130,6 +130,13 @@ fn unknown_flags_and_missing_values_exit_two() {
 fn wrong_configurations_are_refused_before_any_flow_runs() {
     assert_usage_error("explain", &["vector", "bogus"], "`bogus`");
     assert_usage_error("export", &["vector", "bogus"], "`bogus`");
+    // The option set has one reader: no lowercase letters, no aliases.
+    assert_usage_error("serve", &["--options", "bb"], "bad --options value `bb`");
+    assert_usage_error(
+        "explore",
+        &["--configs", "opt"],
+        "bad --configs value `opt`",
+    );
     assert_usage_error("sweep", &["vector", "--partition", "auto"], "`--partition`");
     assert_usage_error("fig09", &["--placd"], "`--placd`");
     assert_usage_error("export", &["nosuch"], "`nosuch`");

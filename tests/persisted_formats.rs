@@ -5,7 +5,8 @@
 //!   it (floats in `{:?}` exponent form, `u64` keys above 2^53): each
 //!   decodes to the expected struct and re-renders byte for byte, so
 //!   existing `--store`, `--ledger`, explore-log, baseline and trace
-//!   files stay readable;
+//!   files stay readable; job lines in the older lowercase options mask
+//!   still decode to the same job;
 //! * **hostile strings** — seeded random strings of quotes, commas,
 //!   backslashes, every control character, `×`, astral-plane characters
 //!   and embedded `"key":` text round-trip through every record kind,
@@ -16,7 +17,7 @@ use std::fmt::Debug;
 use hlsb::{Partitioning, PlaceEffort, RegisterInjection};
 use hlsb_explore::{TrialKind, TrialRecord};
 use hlsb_rng::Rng;
-use hlsb_serve::{parse_options, JobSpec};
+use hlsb_serve::JobSpec;
 use hlsb_store::{JsonlRecord, ResultRecord, StageKind, StageRecord};
 use hlsb_telemetry::{Baseline, RateRule, RunRecord, StageRule};
 use hlsb_trace::{Attr, DecisionEvent, Histogram, MetricsRegistry, SpanNode, TraceTree, Value};
@@ -175,7 +176,7 @@ fn job_sample(id: &str, design: &str, clock_mhz: Option<f64>, seed: u64) -> JobS
         id: id.to_string(),
         design: design.to_string(),
         clock_mhz,
-        options: parse_options("bk").expect("valid mask"),
+        options: "B-K-".parse().expect("valid mask"),
         seed,
         place_seeds: 2,
         effort: PlaceEffort::Normal,
@@ -360,13 +361,13 @@ fn fixtures_written_by_the_writers_decode_and_re_render_byte_for_byte() {
     );
     assert_fixture(
         job_sample("j-1", "fuzz:42", Some(312.75), (1 << 53) + 3),
-        "{\"id\":\"j-1\",\"design\":\"fuzz:42\",\"clock_mhz\":312.75,\"options\":\"bk\",\
+        "{\"id\":\"j-1\",\"design\":\"fuzz:42\",\"clock_mhz\":312.75,\"options\":\"B-K-\",\
          \"seed\":9007199254740995,\"place_seeds\":2,\"effort\":\"normal\",\
          \"partitions\":\"3\",\"inject\":\"r1.3\"}",
     );
     assert_fixture(
         job_sample("job-2", "genome", None, 1),
-        "{\"id\":\"job-2\",\"design\":\"genome\",\"clock_mhz\":null,\"options\":\"bk\",\
+        "{\"id\":\"job-2\",\"design\":\"genome\",\"clock_mhz\":null,\"options\":\"B-K-\",\
          \"seed\":1,\"place_seeds\":2,\"effort\":\"normal\",\"partitions\":\"3\",\
          \"inject\":\"r1.3\"}",
     );
@@ -413,6 +414,26 @@ fn fixtures_written_by_the_writers_decode_and_re_render_byte_for_byte() {
          {\"type\":\"histogram\",\"name\":\"slack-ns\",\"bounds\":[0.0,0.5],\"counts\":[1,0,2],\
          \"total\":3,\"sum\":1.25e-7,\"min\":0.0,\"max\":1.0}\n",
     );
+}
+
+#[test]
+fn legacy_job_lines_decode_to_the_canonical_job() {
+    // Job lines written before the `BSKM` mask carried the options as
+    // lowercase letters; they stay readable and compile the same flow.
+    let legacy = "{\"id\":\"j-1\",\"design\":\"fuzz:42\",\"clock_mhz\":312.75,\"options\":\"bk\",\
+                  \"seed\":9007199254740995,\"place_seeds\":2,\"effort\":\"normal\",\
+                  \"partitions\":\"3\",\"inject\":\"r1.3\"}";
+    let canonical = job_sample("j-1", "fuzz:42", Some(312.75), (1 << 53) + 3);
+    let job = JobSpec::from_json(legacy).expect("legacy job line decodes");
+    assert_eq!(job, canonical);
+    assert_eq!(job.to_json(), canonical.to_json());
+    let key = |job: &JobSpec| job.resolve().expect("job resolves").0.config_key();
+    assert_eq!(key(&job), key(&canonical));
+    for bad in ["", "bb", "bz"] {
+        let line = format!("{{\"design\":\"fuzz:42\",\"options\":\"{bad}\"}}");
+        let err = JobSpec::from_json(&line).expect_err(&line);
+        assert!(err.contains("`options`"), "{line} -> {err}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -37,17 +37,18 @@
 //! the usage and exits 0.
 
 use hlsb::{FlowSession, Partitioning, PlaceEffort};
+use hlsb_bench::shell::{self, resolve_benchmarks, Format};
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
 use hlsb_dse::{report, Explorer, KnobSpace, Strategy, DEFAULT_VERIFY_ITERS};
 use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_store::ArtifactStore;
-use hlsb_telemetry::{render_prometheus, RunLedger, RunRecord};
+use hlsb_telemetry::RunLedger;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
 struct Args {
-    design: String,
+    benches: Vec<Benchmark>,
     strategy: Strategy,
     clocks_mhz: Option<Vec<f64>>,
     budget: usize,
@@ -59,15 +60,9 @@ struct Args {
     format: Format,
     verify_iters: u64,
     trace_out: Option<String>,
-    ledger: Option<String>,
+    ledger: Option<Arc<RunLedger>>,
     metrics_out: Option<String>,
     list: bool,
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Format {
-    Table,
-    Jsonl,
 }
 
 const USAGE: &str = "usage: dse [--design <name>|all] [--strategy grid|random|halving]\n\
@@ -80,7 +75,7 @@ const USAGE: &str = "usage: dse [--design <name>|all] [--strategy grid|random|ha
 
 fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     let mut args = Args {
-        design: "all".into(),
+        benches: all_benchmarks(),
         strategy: Strategy::Grid,
         clocks_mhz: None,
         budget: usize::MAX,
@@ -98,7 +93,7 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     };
     while let Some(arg) = cli.next_arg()? {
         match arg {
-            Arg::Flag("--design") => args.design = cli.value()?,
+            Arg::Flag("--design") => args.benches = resolve_benchmarks(&cli.value()?)?,
             Arg::Flag("--strategy") => args.strategy = cli.parse_with(Strategy::from_name)?,
             Arg::Flag("--clocks") => {
                 let clocks: Vec<f64> = cli.list()?;
@@ -130,15 +125,11 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
                 args.store = Some(store);
             }
             Arg::Flag("--format") => {
-                args.format = cli.parse_with(|f| match f {
-                    "table" => Some(Format::Table),
-                    "jsonl" => Some(Format::Jsonl),
-                    _ => None,
-                })?;
+                args.format = Format::read(cli, &[Format::Table, Format::Jsonl])?
             }
             Arg::Flag("--verify-iters") => args.verify_iters = cli.parse()?,
             Arg::Flag("--trace-out") => args.trace_out = Some(cli.value()?),
-            Arg::Flag("--ledger") => args.ledger = Some(cli.value()?),
+            Arg::Flag("--ledger") => args.ledger = Some(shell::open_ledger(cli)?),
             Arg::Flag("--metrics-out") => args.metrics_out = Some(cli.value()?),
             Arg::Flag("--list") => args.list = true,
             _ => return Err(CliError::unexpected(arg)),
@@ -151,7 +142,6 @@ fn explore(
     bench: &Benchmark,
     args: &Args,
     session: &FlowSession,
-    ledger: Option<&RunLedger>,
 ) -> std::io::Result<(bool, Vec<(String, hlsb::TraceTree)>)> {
     let clocks = args
         .clocks_mhz
@@ -163,7 +153,7 @@ fn explore(
         partitions: args.partitions.clone(),
         ..KnobSpace::optimization_cube(clocks)
     };
-    let campaign_start = Instant::now();
+    let started = Instant::now();
     let mut report = Explorer::new(&bench.design, &bench.device)
         .space(space)
         .strategy(args.strategy)
@@ -173,35 +163,32 @@ fn explore(
         .trace(args.trace_out.is_some() || args.metrics_out.is_some())
         .run(session)?;
 
-    if let Some(ledger) = ledger {
-        let status = if report.frontier_semantics_ok() {
-            "ok"
-        } else {
-            "failed"
-        };
-        let wall_ms = campaign_start.elapsed().as_secs_f64() * 1e3;
-        let mut rec = RunRecord::new("dse", &bench.design.name, 0, status, wall_ms);
-        for pass in &report.trace.records {
-            rec.add_stage(&pass.pass, pass.wall_ms);
-        }
-        rec.add_count("full-evals", report.full_evals as u64);
-        rec.add_count("probe-evals", report.probe_evals as u64);
-        rec.add_count("store-hits", report.store_hits as u64);
-        rec.add_count("infeasible", report.infeasible as u64);
-        rec.add_count("budget-dropped", report.budget_dropped as u64);
-        rec.add_count("points", report.points.len() as u64);
-        rec.add_count("frontier", report.frontier.len() as u64);
-        ledger.append(rec)?;
+    if let Some(ledger) = &args.ledger {
+        ledger.append(shell::campaign_record(
+            "dse",
+            &bench.design.name,
+            report.frontier_semantics_ok(),
+            started,
+            &report.trace,
+            &[
+                ("full-evals", report.full_evals),
+                ("probe-evals", report.probe_evals),
+                ("store-hits", report.store_hits),
+                ("infeasible", report.infeasible),
+                ("budget-dropped", report.budget_dropped),
+                ("points", report.points.len()),
+                ("frontier", report.frontier.len()),
+            ],
+        ))?;
     }
 
-    match args.format {
-        Format::Table => {
-            println!("== {} ({}) ==", bench.name, bench.device.name);
-            print!("{}", report::frontier_table(&report));
-            println!("{}", report::summary_line(&report));
-            println!();
-        }
-        Format::Jsonl => print!("{}", report::frontier_jsonl(&report, &bench.design.name)),
+    if args.format == Format::Jsonl {
+        print!("{}", report::frontier_jsonl(&report, &bench.design.name));
+    } else {
+        println!("== {} ({}) ==", bench.name, bench.device.name);
+        print!("{}", report::frontier_table(&report));
+        println!("{}", report::summary_line(&report));
+        println!();
     }
     let trees = std::mem::take(&mut report.span_trees)
         .into_iter()
@@ -212,63 +199,21 @@ fn explore(
 
 fn main() -> ExitCode {
     let mut args = cli::parse_env("dse", USAGE, parse_args);
-
-    let benches = all_benchmarks();
     if args.list {
-        for b in &benches {
-            println!(
-                "{:<16} {:>6.0} MHz  {}",
-                b.design.name, b.clock_mhz, b.device.name
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let selected: Vec<&Benchmark> = if args.design == "all" {
-        benches.iter().collect()
-    } else {
-        benches
-            .iter()
-            .filter(|b| b.design.name == args.design)
-            .collect()
-    };
-    if selected.is_empty() {
-        eprintln!(
-            "dse: no benchmark named `{}` (try --list; one of: {})",
-            args.design,
-            benches
-                .iter()
-                .map(|b| b.design.name.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        return ExitCode::from(2);
+        return shell::print_list();
     }
 
     // One store directory serves every benchmark: the config key covers
     // the design, so entries never collide.
-    let mut session = match args.store.take() {
+    let session = match args.store.take() {
         Some(store) => FlowSession::new().with_backend(Arc::new(store)),
         None => FlowSession::new(),
     };
-    let ledger = match &args.ledger {
-        Some(path) => match RunLedger::open(path) {
-            Ok(ledger) => {
-                let ledger = Arc::new(ledger);
-                session = session.with_ledger(ledger.clone());
-                Some(ledger)
-            }
-            Err(e) => {
-                eprintln!("dse: cannot open ledger {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
+    let session = shell::attach_ledger(session, args.ledger.as_ref());
     let mut semantics_ok = true;
     let mut traces: Vec<(String, hlsb::TraceTree)> = Vec::new();
-    for bench in selected {
-        match explore(bench, &args, &session, ledger.as_deref()) {
+    for bench in &args.benches {
+        match explore(bench, &args, &session) {
             Ok((ok, trees)) => {
                 semantics_ok &= ok;
                 traces.extend(trees);
@@ -280,28 +225,11 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &args.metrics_out {
-        let mut metrics = hlsb::MetricsRegistry::default();
-        for (_, tree) in &traces {
-            metrics.merge(&tree.metrics);
-        }
-        if let Err(e) = std::fs::write(path, render_prometheus(&metrics, &[("tool", "dse")])) {
-            eprintln!("dse: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        shell::write_metrics("dse", path, traces.iter().map(|(_, tree)| tree));
     }
     if let Some(path) = &args.trace_out {
-        let runs: Vec<(&str, &hlsb::TraceTree)> = traces
-            .iter()
-            .map(|(label, t)| (label.as_str(), t))
-            .collect();
-        if let Err(e) = std::fs::write(path, hlsb::chrome_trace(&runs)) {
-            eprintln!("dse: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "wrote Chrome trace for {} evaluations to {path}",
-            runs.len()
-        );
+        let runs = traces.iter().map(|(label, tree)| (label.as_str(), tree));
+        shell::write_chrome_trace("dse", path, runs, "evaluations");
     }
     if !semantics_ok {
         eprintln!("dse: a frontier configuration FAILED its differential simulation");

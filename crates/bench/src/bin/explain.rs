@@ -13,34 +13,30 @@
 //! Exit status is 2 on usage errors (an unknown benchmark or level
 //! included), 0 otherwise; `--help` prints the usage and exits 0.
 
-use hlsb::Flow;
-use hlsb_bench::{resolve_benchmark, SEED};
+use hlsb_bench::benchmark_flow;
+use hlsb_bench::shell::Selection;
 use hlsb_findings::cli::{self, Arg, CliError};
 
 const USAGE: &str = "usage: explain [<benchmark>] [none|data|skid|all|<mask>]";
 
 fn main() {
     let mut positional: Vec<String> = Vec::new();
-    let (bench, level, options) = cli::parse_env("explain", USAGE, |cli| {
+    let selection = cli::parse_env("explain", USAGE, |cli| {
         while let Some(arg) = cli.next_arg()? {
             match arg {
                 Arg::Positional(p) if positional.len() < 2 => positional.push(p.to_string()),
                 _ => return Err(CliError::unexpected(arg)),
             }
         }
-        let name = positional.first().map_or("genome", String::as_str);
-        let level = positional.get(1).map_or("none", String::as_str);
-        let options = cli::positional("optimization level", level)?;
-        let bench = resolve_benchmark(name)?;
-        Ok((bench, level, options))
+        Selection::read(&positional, false, "none")
     });
-    println!("== {} ({level}) on {} ==", bench.name, bench.device);
+    let bench = &selection.benches[0];
+    println!(
+        "== {} ({}) on {} ==",
+        bench.name, selection.level, bench.device
+    );
 
-    let (result, netlist, placement) = Flow::new(bench.design.clone())
-        .device(bench.device.clone())
-        .clock_mhz(bench.clock_mhz)
-        .options(options)
-        .seed(SEED)
+    let (result, netlist, placement) = benchmark_flow(bench, selection.options)
         .trace(true)
         .run_detailed()
         .expect("flow");

@@ -31,16 +31,17 @@
 //! `--help` prints the usage and exits 0.
 
 use hlsb::FlowSession;
+use hlsb_bench::shell::{self, resolve_benchmarks, Format};
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
 use hlsb_explore::{report, ExploreConfig, FmaxExplorer, FreqLog};
 use hlsb_findings::cli::{self, Arg, Cli, CliError};
-use hlsb_telemetry::{render_prometheus, RunLedger, RunRecord};
+use hlsb_telemetry::RunLedger;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
 struct Args {
-    design: String,
+    benches: Vec<Benchmark>,
     configs: Vec<ExploreConfig>,
     tolerance_mhz: f64,
     budget: usize,
@@ -50,15 +51,9 @@ struct Args {
     log: Option<String>,
     format: Format,
     trace_out: Option<String>,
-    ledger: Option<String>,
+    ledger: Option<Arc<RunLedger>>,
     metrics_out: Option<String>,
     list: bool,
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Format {
-    Table,
-    Jsonl,
 }
 
 const USAGE: &str = "usage: explore [--design <name>|all] [--configs <spec>[,<spec>...]]\n\
@@ -71,7 +66,7 @@ const USAGE: &str = "usage: explore [--design <name>|all] [--configs <spec>[,<sp
 
 fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     let mut args = Args {
-        design: "all".into(),
+        benches: all_benchmarks(),
         configs: ExploreConfig::default_set(),
         tolerance_mhz: hlsb_explore::DEFAULT_TOLERANCE_MHZ,
         budget: hlsb_explore::DEFAULT_BUDGET,
@@ -87,33 +82,22 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
     };
     while let Some(arg) = cli.next_arg()? {
         match arg {
-            Arg::Flag("--design") => args.design = cli.value()?,
+            Arg::Flag("--design") => args.benches = resolve_benchmarks(&cli.value()?)?,
             Arg::Flag("--configs") => args.configs = cli.list_with(ExploreConfig::parse)?,
-            Arg::Flag("--tolerance") => {
-                args.tolerance_mhz = cli.parse()?;
-                cli.ensure(args.tolerance_mhz.is_finite() && args.tolerance_mhz > 0.0)?;
-            }
+            Arg::Flag("--tolerance") => args.tolerance_mhz = shell::read_mhz(cli)?,
             Arg::Flag("--budget") => {
                 args.budget = cli.parse()?;
                 cli.ensure(args.budget >= 1)?;
             }
-            Arg::Flag("--start") => {
-                let mhz: f64 = cli.parse()?;
-                cli.ensure(mhz.is_finite() && mhz > 0.0)?;
-                args.start_mhz = Some(mhz);
-            }
+            Arg::Flag("--start") => args.start_mhz = Some(shell::read_mhz(cli)?),
             Arg::Flag("--seed") => args.seed = cli.parse()?,
             Arg::Flag("--verify-iters") => args.verify_iters = cli.parse()?,
             Arg::Flag("--log") => args.log = Some(cli.value()?),
             Arg::Flag("--format") => {
-                args.format = cli.parse_with(|f| match f {
-                    "table" => Some(Format::Table),
-                    "jsonl" => Some(Format::Jsonl),
-                    _ => None,
-                })?;
+                args.format = Format::read(cli, &[Format::Table, Format::Jsonl])?
             }
             Arg::Flag("--trace-out") => args.trace_out = Some(cli.value()?),
-            Arg::Flag("--ledger") => args.ledger = Some(cli.value()?),
+            Arg::Flag("--ledger") => args.ledger = Some(shell::open_ledger(cli)?),
             Arg::Flag("--metrics-out") => args.metrics_out = Some(cli.value()?),
             Arg::Flag("--list") => args.list = true,
             _ => return Err(CliError::unexpected(arg)),
@@ -126,7 +110,6 @@ fn explore(
     bench: &Benchmark,
     args: &Args,
     session: &FlowSession,
-    ledger: Option<&RunLedger>,
 ) -> std::io::Result<(bool, Option<hlsb::TraceTree>)> {
     let log = match &args.log {
         // One log file can serve several benchmarks: the trial key
@@ -134,7 +117,7 @@ fn explore(
         Some(path) => FreqLog::open(path)?,
         None => FreqLog::in_memory(),
     };
-    let campaign_start = Instant::now();
+    let started = Instant::now();
     let report = FmaxExplorer::new(&bench.design, &bench.device)
         .configs(args.configs.clone())
         .start_mhz(args.start_mhz.unwrap_or(bench.clock_mhz))
@@ -146,96 +129,50 @@ fn explore(
         .trace(args.trace_out.is_some() || args.metrics_out.is_some())
         .run(session)?;
 
-    if let Some(ledger) = ledger {
-        let status = if report.semantics_ok() {
-            "ok"
-        } else {
-            "failed"
-        };
-        let wall_ms = campaign_start.elapsed().as_secs_f64() * 1e3;
-        let mut rec = RunRecord::new("explore", &bench.design.name, 0, status, wall_ms);
-        for pass in &report.trace.records {
-            rec.add_stage(&pass.pass, pass.wall_ms);
-        }
-        rec.add_count("full-evals", report.full_evals as u64);
-        rec.add_count("probe-evals", report.probe_evals as u64);
-        rec.add_count("log-hits", report.log_hits as u64);
-        rec.add_count("configs", report.outcomes.len() as u64);
+    if let Some(ledger) = &args.ledger {
         let converged = report
             .outcomes
             .iter()
             .filter(|o| o.converged_mhz.is_some())
             .count();
-        rec.add_count("converged", converged as u64);
-        ledger.append(rec)?;
+        ledger.append(shell::campaign_record(
+            "explore",
+            &bench.design.name,
+            report.semantics_ok(),
+            started,
+            &report.trace,
+            &[
+                ("full-evals", report.full_evals),
+                ("probe-evals", report.probe_evals),
+                ("log-hits", report.log_hits),
+                ("configs", report.outcomes.len()),
+                ("converged", converged),
+            ],
+        ))?;
     }
 
-    match args.format {
-        Format::Table => {
-            println!("== {} ({}) ==", bench.name, bench.device.name);
-            print!("{}", report::best_frequencies_table(&report));
-            println!("{}", report::summary_line(&report));
-            println!();
-        }
-        Format::Jsonl => print!("{}", report::report_jsonl(&report)),
+    if args.format == Format::Jsonl {
+        print!("{}", report::report_jsonl(&report));
+    } else {
+        println!("== {} ({}) ==", bench.name, bench.device.name);
+        print!("{}", report::best_frequencies_table(&report));
+        println!("{}", report::summary_line(&report));
+        println!();
     }
     Ok((report.semantics_ok(), report.span_tree))
 }
 
 fn main() -> ExitCode {
     let args = cli::parse_env("explore", USAGE, parse_args);
-
-    let benches = all_benchmarks();
     if args.list {
-        for b in &benches {
-            println!(
-                "{:<16} {:>6.0} MHz  {}",
-                b.design.name, b.clock_mhz, b.device.name
-            );
-        }
-        return ExitCode::SUCCESS;
+        return shell::print_list();
     }
 
-    let selected: Vec<&Benchmark> = if args.design == "all" {
-        benches.iter().collect()
-    } else {
-        benches
-            .iter()
-            .filter(|b| b.design.name == args.design)
-            .collect()
-    };
-    if selected.is_empty() {
-        eprintln!(
-            "explore: no benchmark named `{}` (try --list; one of: {})",
-            args.design,
-            benches
-                .iter()
-                .map(|b| b.design.name.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        return ExitCode::from(2);
-    }
-
-    let mut session = FlowSession::new();
-    let ledger = match &args.ledger {
-        Some(path) => match RunLedger::open(path) {
-            Ok(ledger) => {
-                let ledger = Arc::new(ledger);
-                session = session.with_ledger(ledger.clone());
-                Some(ledger)
-            }
-            Err(e) => {
-                eprintln!("explore: cannot open ledger {path}: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
+    let session = shell::attach_ledger(FlowSession::new(), args.ledger.as_ref());
     let mut semantics_ok = true;
     let mut traces: Vec<(String, hlsb::TraceTree)> = Vec::new();
-    for bench in selected {
-        match explore(bench, &args, &session, ledger.as_deref()) {
+    for bench in &args.benches {
+        match explore(bench, &args, &session) {
             Ok((ok, tree)) => {
                 semantics_ok &= ok;
                 if let Some(tree) = tree {
@@ -254,24 +191,14 @@ fn main() -> ExitCode {
             out.push_str(&format!("# {design}\n"));
             out.push_str(&tree.to_jsonl());
         }
-        if let Err(e) = std::fs::write(path, out) {
-            eprintln!("explore: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        shell::write_or_exit("explore", path, out);
         println!(
             "wrote explore span trees for {} benchmarks to {path}",
             traces.len()
         );
     }
     if let Some(path) = &args.metrics_out {
-        let mut metrics = hlsb::MetricsRegistry::default();
-        for (_, tree) in &traces {
-            metrics.merge(&tree.metrics);
-        }
-        if let Err(e) = std::fs::write(path, render_prometheus(&metrics, &[("tool", "explore")])) {
-            eprintln!("explore: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        shell::write_metrics("explore", path, traces.iter().map(|(_, tree)| tree));
     }
     if !semantics_ok {
         eprintln!("explore: a converged configuration FAILED its semantics check");

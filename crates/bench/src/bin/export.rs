@@ -9,10 +9,11 @@
 //! goes to stdout.
 //!
 //! Exit status is 2 on usage errors (an unknown benchmark or level
-//! included), 0 otherwise; `--help` prints the usage and exits 0.
+//! included), 1 if the output file cannot be written, 0 otherwise;
+//! `--help` prints the usage and exits 0.
 
-use hlsb::Flow;
-use hlsb_bench::{resolve_benchmark, SEED};
+use hlsb_bench::benchmark_flow;
+use hlsb_bench::shell::{self, Selection};
 use hlsb_findings::cli::{self, Arg, CliError};
 use hlsb_netlist::to_verilog;
 
@@ -20,32 +21,24 @@ const USAGE: &str = "usage: export [<benchmark>] [none|data|skid|all|<mask>] [<o
 
 fn main() {
     let mut positional: Vec<String> = Vec::new();
-    let (bench, options) = cli::parse_env("export", USAGE, |cli| {
+    let selection = cli::parse_env("export", USAGE, |cli| {
         while let Some(arg) = cli.next_arg()? {
             match arg {
                 Arg::Positional(p) if positional.len() < 3 => positional.push(p.to_string()),
                 _ => return Err(CliError::unexpected(arg)),
             }
         }
-        let name = positional.first().map_or("genome", String::as_str);
-        let options = cli::positional(
-            "optimization level",
-            positional.get(1).map_or("all", String::as_str),
-        )?;
-        Ok((resolve_benchmark(name)?, options))
+        Selection::read(&positional, false, "all")
     });
-    let (result, netlist, _) = Flow::new(bench.design.clone())
-        .device(bench.device.clone())
-        .clock_mhz(bench.clock_mhz)
-        .options(options)
-        .seed(SEED)
+    let bench = &selection.benches[0];
+    let (result, netlist, _) = benchmark_flow(bench, selection.options)
         .run_detailed()
         .expect("flow");
 
     let verilog = to_verilog(&netlist);
     match positional.get(2) {
         Some(path) => {
-            std::fs::write(path, &verilog).expect("write verilog");
+            shell::write_or_exit("export", path, &verilog);
             eprintln!(
                 "wrote {} ({} cells, Fmax {:.0} MHz) to {path}",
                 bench.name,

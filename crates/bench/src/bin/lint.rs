@@ -17,11 +17,11 @@
 //! exits 0.
 
 use hlsb::{Flow, FlowSession};
-use hlsb_bench::{device_by_name, resolve_benchmarks};
+use hlsb_bench::shell::{self, device_by_name, print_findings, resolve_benchmarks, Format};
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
 use hlsb_fabric::Device;
 use hlsb_findings::cli::{self, Arg, Cli, CliError};
-use hlsb_lint::{render_sarif, LintReport, Severity};
+use hlsb_findings::{Report, Severity};
 use std::process::ExitCode;
 
 struct Args {
@@ -31,13 +31,6 @@ struct Args {
     format: Format,
     deny: Severity,
     list: bool,
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Format {
-    Table,
-    Jsonl,
-    Sarif,
 }
 
 const USAGE: &str = "usage: lint [--design <name>|all] [--target vu9p|zc706|u50|virtex7]\n\
@@ -57,18 +50,9 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
         match arg {
             Arg::Flag("--design") => args.benches = resolve_benchmarks(&cli.value()?)?,
             Arg::Flag("--target") => args.target = Some(cli.parse_with(device_by_name)?),
-            Arg::Flag("--clock") => {
-                let mhz: f64 = cli.parse()?;
-                cli.ensure(mhz.is_finite() && mhz > 0.0)?;
-                args.clock_mhz = Some(mhz);
-            }
+            Arg::Flag("--clock") => args.clock_mhz = Some(shell::read_mhz(cli)?),
             Arg::Flag("--format") => {
-                args.format = cli.parse_with(|f| match f {
-                    "table" => Some(Format::Table),
-                    "jsonl" => Some(Format::Jsonl),
-                    "sarif" => Some(Format::Sarif),
-                    _ => None,
-                })?;
+                args.format = Format::read(cli, &[Format::Table, Format::Jsonl, Format::Sarif])?;
             }
             Arg::Flag("--deny") => args.deny = cli.parse_with(Severity::parse)?,
             Arg::Flag("--list") => args.list = true,
@@ -80,7 +64,7 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
 
 /// The lint pre-pass of the flow's own probe stage: front end and
 /// baseline schedule, no placement or timing.
-fn lint_benchmark(session: &FlowSession, bench: &Benchmark, args: &Args) -> LintReport {
+fn lint_benchmark(session: &FlowSession, bench: &Benchmark, args: &Args) -> Report {
     let device = args.target.clone().unwrap_or_else(|| bench.device.clone());
     let flow = Flow::new(bench.design.clone())
         .device(device)
@@ -95,39 +79,13 @@ fn lint_benchmark(session: &FlowSession, bench: &Benchmark, args: &Args) -> Lint
 fn main() -> ExitCode {
     let args = cli::parse_env("lint", USAGE, parse_args);
     if args.list {
-        for b in all_benchmarks() {
-            println!(
-                "{:<16} {:<22} {}",
-                b.design.name, b.broadcast_type, b.device.name
-            );
-        }
-        return ExitCode::SUCCESS;
+        return shell::print_list();
     }
-
     let session = FlowSession::new();
-    let reports: Vec<LintReport> = args
+    let reports: Vec<Report> = args
         .benches
         .iter()
         .map(|b| lint_benchmark(&session, b, &args))
         .collect();
-    match args.format {
-        Format::Table => {
-            for r in &reports {
-                print!("{}", r.to_table());
-                println!();
-            }
-        }
-        Format::Jsonl => {
-            for r in &reports {
-                print!("{}", r.to_jsonl());
-            }
-        }
-        Format::Sarif => println!("{}", render_sarif(&reports)),
-    }
-
-    if reports.iter().any(|r| r.count_at_least(args.deny) > 0) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    print_findings(args.format, &reports, args.deny)
 }

@@ -22,9 +22,8 @@
 //! included) or an unreadable `--trace-in`, 1 if the collapsed stacks
 //! cannot be written, 0 otherwise; `--help` prints the usage and exits 0.
 
-use hlsb::{FlowSession, OptimizationOptions, Partitioning, TraceTree};
-use hlsb_bench::{benchmark_flow, expect_all, resolve_benchmarks};
-use hlsb_benchmarks::Benchmark;
+use hlsb::{Partitioning, TraceTree};
+use hlsb_bench::shell::{self, Selection};
 use hlsb_findings::cli::{self, Arg, Cli, CliError};
 use hlsb_telemetry::{collapsed_stacks, render_table, self_time};
 use std::process::ExitCode;
@@ -36,12 +35,7 @@ const USAGE: &str = "usage: profile [<benchmark>|all] [none|data|skid|all|<mask>
 /// What to profile: an existing trace, or fresh runs.
 enum Source {
     TraceIn(String),
-    Run {
-        benches: Vec<Benchmark>,
-        level: String,
-        options: OptimizationOptions,
-        partitions: Partitioning,
-    },
+    Run(Selection, Partitioning),
 }
 
 fn parse_args(cli: &mut Cli) -> Result<(Source, Option<String>), CliError> {
@@ -63,16 +57,7 @@ fn parse_args(cli: &mut Cli) -> Result<(Source, Option<String>), CliError> {
             return Err(CliError::usage("--trace-in takes no benchmark or level"))
         }
         Some(path) => Source::TraceIn(path),
-        None => {
-            let name = positional.first().map_or("genome", String::as_str);
-            let level = positional.get(1).map_or("all", String::as_str);
-            Source::Run {
-                options: cli::positional("optimization level", level)?,
-                benches: resolve_benchmarks(name)?,
-                level: level.to_string(),
-                partitions,
-            }
-        }
+        None => Source::Run(Selection::read(&positional, true, "all")?, partitions),
     };
     Ok((source, collapsed_out))
 }
@@ -96,45 +81,18 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Source::Run {
-            benches,
-            level,
-            options,
-            partitions,
-        } => {
-            let flows: Vec<_> = benches
-                .iter()
-                .map(|b| {
-                    benchmark_flow(b, options)
-                        .partitions(partitions)
-                        .trace(true)
-                })
-                .collect();
-            let labels: Vec<String> = benches
-                .iter()
-                .map(|b| format!("{} ({level})", b.name))
-                .collect();
-            let session = FlowSession::new();
-            let results = expect_all(&labels, session.run_many(&flows));
-            results
-                .into_iter()
-                .map(|r| {
-                    r.trace_tree()
-                        .expect("flow ran with tracing enabled")
-                        .clone()
-                })
-                .collect()
-        }
+        Source::Run(selection, partitions) => selection
+            .run_traced(partitions)
+            .into_iter()
+            .map(|(_, r)| r.span_tree.expect("flow ran with tracing enabled"))
+            .collect(),
     };
 
     let trees: Vec<&TraceTree> = owned_trees.iter().collect();
     print!("{}", render_table(&self_time(&trees)));
 
     if let Some(path) = &collapsed_out {
-        if let Err(e) = std::fs::write(path, collapsed_stacks(&trees)) {
-            eprintln!("profile: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        shell::write_or_exit("profile", path, collapsed_stacks(&trees));
         println!("wrote collapsed stacks to {path}");
     }
     ExitCode::SUCCESS

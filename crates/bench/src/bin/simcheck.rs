@@ -1,68 +1,62 @@
 //! Differential simulation check over the Table-1 benchmarks.
 //!
 //! ```text
-//! simcheck [--json] [--design <name-substring>] [--trace-out <path>]
+//! simcheck [--format table|jsonl] [--design <name-substring>] [--trace-out <path>]
 //! ```
 //!
 //! For every benchmark and every point of the optimization cube
-//! (broadcast-aware × sync-pruning × skid-buffer), runs the untimed
-//! golden evaluator against the cycle-accurate simulator of the
-//! scheduled design and verifies trace equality plus latency consistency
+//! (broadcast-aware × sync-pruning × skid-buffer, each variant labelled
+//! with its `BSKM` mask such as `B-K-`), runs the untimed golden
+//! evaluator against the cycle-accurate simulator of the scheduled
+//! design and verifies trace equality plus latency consistency
 //! (`hlsb::sim::check_latency`). This is the fast semantics gate: it
 //! exercises the whole front-end + scheduler without placement, so all
 //! 72 variant runs finish in seconds.
 //!
-//! `--json` emits one JSON line per variant (and a final `summary` line)
-//! instead of the table, for machine consumption in CI. `--design`
-//! restricts the sweep to one benchmark (substring match, same resolver
-//! as `explain`/`sweep`). `--trace-out` records a span trace per variant
-//! and writes the batch as Chrome trace-event JSON.
+//! `--format jsonl` emits one JSON line per variant (and a final
+//! `summary` line) instead of the table, for machine consumption in CI.
+//! `--design` restricts the sweep to one benchmark (substring match,
+//! same resolver as `explain`/`sweep`). `--trace-out` records a span
+//! trace per variant and writes the batch as Chrome trace-event JSON.
 //!
 //! Exit status is 2 on usage errors (an unknown benchmark included), 1
 //! when any variant fails its check, 0 otherwise; `--help` prints the
 //! usage and exits 0.
 
-use hlsb::lint::render::json_escape;
 use hlsb::sim::Stimulus;
-use hlsb::{chrome_trace, Flow, FlowSession, OptimizationOptions, TraceTree};
-use hlsb_bench::resolve_benchmark;
+use hlsb::{Flow, FlowSession, OptimizationOptions, TraceTree};
+use hlsb_bench::shell::{self, resolve_benchmark, Format};
 use hlsb_benchmarks::all_benchmarks;
 use hlsb_findings::cli::{self, Arg, CliError};
+use hlsb_findings::json_escape;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: simcheck [--json] [--design <name>] [--trace-out <path>]";
+const USAGE: &str = "usage: simcheck [--format table|jsonl] [--design <name>] [--trace-out <path>]";
 
 /// Iterations simulated per loop (trip counts are capped to this).
 const ITERS_CAP: u64 = 48;
 
-fn combos() -> Vec<(String, OptimizationOptions)> {
-    let mut out = Vec::new();
-    for bits in 0u8..8 {
-        let opts = OptimizationOptions {
-            broadcast_aware: bits & 1 != 0,
-            sync_pruning: bits & 2 != 0,
-            skid_buffer: bits & 4 != 0,
-            min_area_skid: false,
-        };
-        let name = format!(
-            "{}{}{}",
-            if opts.broadcast_aware { "B" } else { "-" },
-            if opts.sync_pruning { "S" } else { "-" },
-            if opts.skid_buffer { "K" } else { "-" },
-        );
-        out.push((name, opts));
-    }
-    out
+/// The eight points of the broadcast-aware × sync-pruning × skid-buffer
+/// cube, baseline first.
+fn cube() -> impl Iterator<Item = OptimizationOptions> {
+    (0u8..8).map(|bits| OptimizationOptions {
+        broadcast_aware: bits & 1 != 0,
+        sync_pruning: bits & 2 != 0,
+        skid_buffer: bits & 4 != 0,
+        min_area_skid: false,
+    })
 }
 
 fn main() -> ExitCode {
-    let mut json = false;
+    let mut format = Format::Table;
     let mut trace_out: Option<String> = None;
     let benches = cli::parse_env("simcheck", USAGE, |cli| {
         let mut benches = all_benchmarks();
         while let Some(arg) = cli.next_arg()? {
             match arg {
-                Arg::Flag("--json") => json = true,
+                Arg::Flag("--format") => {
+                    format = Format::read(cli, &[Format::Table, Format::Jsonl])?
+                }
                 Arg::Flag("--design") => benches = vec![resolve_benchmark(&cli.value()?)?],
                 Arg::Flag("--trace-out") => trace_out = Some(cli.value()?),
                 _ => return Err(CliError::unexpected(arg)),
@@ -70,6 +64,7 @@ fn main() -> ExitCode {
         }
         Ok(benches)
     });
+    let json = format == Format::Jsonl;
 
     let session = FlowSession::new();
     if !json {
@@ -85,7 +80,8 @@ fn main() -> ExitCode {
     let mut traces: Vec<(String, TraceTree)> = Vec::new();
     for bench in benches {
         let stim = Stimulus::seeded(&bench.design, 1, ITERS_CAP as usize);
-        for (name, opts) in combos() {
+        for opts in cube() {
+            let name = opts.to_string();
             let flow = Flow::new(bench.design.clone())
                 .device(bench.device.clone())
                 .clock_mhz(bench.clock_mhz)
@@ -155,16 +151,9 @@ fn main() -> ExitCode {
             stats.schedule.misses,
         );
     }
-    if let Some(path) = trace_out {
-        let runs: Vec<(&str, &TraceTree)> = traces
-            .iter()
-            .map(|(label, t)| (label.as_str(), t))
-            .collect();
-        if let Err(e) = std::fs::write(&path, chrome_trace(&runs)) {
-            eprintln!("simcheck: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote Chrome trace for {} variants to {path}", runs.len());
+    if let Some(path) = &trace_out {
+        let runs = traces.iter().map(|(label, tree)| (label.as_str(), tree));
+        shell::write_chrome_trace("simcheck", path, runs, "variants");
     }
     if failures > 0 {
         eprintln!("simcheck: {failures} variant(s) FAILED");

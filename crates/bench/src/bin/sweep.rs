@@ -23,8 +23,9 @@
 //! included), 1 if the trace cannot be written, 0 otherwise; `--help`
 //! prints the usage and exits 0.
 
-use hlsb::{chrome_trace, Flow, FlowSession, Partitioning};
-use hlsb_bench::{expect_all, pass_summary, resolve_benchmark, SEED};
+use hlsb::{Flow, FlowSession, Partitioning};
+use hlsb_bench::shell::{self, Selection};
+use hlsb_bench::{expect_all, pass_summary, SEED};
 use hlsb_findings::cli::{self, Arg, CliError};
 
 const TARGETS: [f64; 7] = [150.0, 200.0, 250.0, 300.0, 333.0, 400.0, 500.0];
@@ -36,7 +37,7 @@ fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut trace_out: Option<String> = None;
     let mut partitions = Partitioning::Off;
-    let (bench, level, options) = cli::parse_env("sweep", USAGE, |cli| {
+    let selection = cli::parse_env("sweep", USAGE, |cli| {
         while let Some(arg) = cli.next_arg()? {
             match arg {
                 Arg::Flag("--trace-out") => trace_out = Some(cli.value()?),
@@ -45,13 +46,11 @@ fn main() {
                 _ => return Err(CliError::unexpected(arg)),
             }
         }
-        let name = positional.first().map_or("genome", String::as_str);
-        let level = positional.get(1).map_or("all", String::as_str);
-        let options = cli::positional("optimization level", level)?;
-        Ok((resolve_benchmark(name)?, level, options))
+        Selection::read(&positional, false, "all")
     });
+    let bench = &selection.benches[0];
 
-    println!("clock-target sweep: {} ({level})", bench.name);
+    println!("clock-target sweep: {} ({})", bench.name, selection.level);
     println!(
         "{:>13} {:>15} {:>7} {:>6}",
         "target (MHz)", "achieved (MHz)", "depth", "regs"
@@ -62,7 +61,7 @@ fn main() {
             Flow::new(bench.design.clone())
                 .device(bench.device.clone())
                 .clock_mhz(target)
-                .options(options)
+                .options(selection.options)
                 .seed(SEED)
                 .partitions(partitions)
                 .trace(trace_out.is_some())
@@ -85,16 +84,11 @@ fn main() {
     }
     eprintln!("{}", pass_summary(&results, &session));
 
-    if let Some(path) = trace_out {
-        let runs: Vec<(&str, &hlsb::TraceTree)> = labels
+    if let Some(path) = &trace_out {
+        let runs = labels
             .iter()
             .zip(&results)
-            .filter_map(|(label, r)| r.span_tree.as_ref().map(|t| (label.as_str(), t)))
-            .collect();
-        std::fs::write(&path, chrome_trace(&runs)).unwrap_or_else(|e| {
-            eprintln!("sweep: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote Chrome trace for {} runs to {path}", runs.len());
+            .filter_map(|(label, r)| r.trace_tree().map(|tree| (label.as_str(), tree)));
+        shell::write_chrome_trace("sweep", path, runs, "runs");
     }
 }

@@ -21,10 +21,9 @@
 //! included), 1 if an output cannot be written, 0 otherwise; `--help`
 //! prints the usage and exits 0.
 
-use hlsb::{chrome_trace, FlowSession, MetricsRegistry, Partitioning, TraceTree};
-use hlsb_bench::{benchmark_flow, expect_all, resolve_benchmarks};
+use hlsb::{MetricsRegistry, Partitioning, TraceTree};
+use hlsb_bench::shell::{self, Selection};
 use hlsb_findings::cli::{self, Arg, CliError};
-use std::process::ExitCode;
 
 const USAGE: &str = "usage: trace [<benchmark>|all] [none|data|skid|all|<mask>]\n\
                      \x20            [--partitions <n>|auto|off]\n\
@@ -42,12 +41,12 @@ fn indexed_path(base: &str, idx: usize, runs: usize) -> String {
     }
 }
 
-fn main() -> ExitCode {
+fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut trace_out: Option<String> = None;
     let mut jsonl_out: Option<String> = None;
     let mut partitions = Partitioning::Off;
-    let (benches, level, options) = cli::parse_env("trace", USAGE, |cli| {
+    let selection = cli::parse_env("trace", USAGE, |cli| {
         while let Some(arg) = cli.next_arg()? {
             match arg {
                 Arg::Flag("--partitions") => partitions = cli.parse()?,
@@ -57,31 +56,13 @@ fn main() -> ExitCode {
                 _ => return Err(CliError::unexpected(arg)),
             }
         }
-        let name = positional.first().map_or("genome", String::as_str);
-        let level = positional.get(1).map_or("all", String::as_str);
-        let options = cli::positional("optimization level", level)?;
-        Ok((resolve_benchmarks(name)?, level, options))
+        Selection::read(&positional, true, "all")
     });
 
-    let flows: Vec<_> = benches
-        .iter()
-        .map(|b| {
-            benchmark_flow(b, options)
-                .partitions(partitions)
-                .trace(true)
-        })
-        .collect();
-    let labels: Vec<String> = benches
-        .iter()
-        .map(|b| format!("{} ({level})", b.name))
-        .collect();
-    let session = FlowSession::new();
-    let results = expect_all(&labels, session.run_many(&flows));
-
+    let runs = selection.run_traced(partitions);
     let mut metrics = MetricsRegistry::default();
-    let trees: Vec<(&str, &TraceTree)> = labels
+    let trees: Vec<(&str, &TraceTree)> = runs
         .iter()
-        .zip(&results)
         .map(|(label, r)| {
             let tree = r.trace_tree().expect("flow ran with tracing enabled");
             (label.as_str(), tree)
@@ -99,21 +80,13 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &trace_out {
-        if let Err(e) = std::fs::write(path, chrome_trace(&trees)) {
-            eprintln!("trace: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote Chrome trace for {} runs to {path}", trees.len());
+        shell::write_chrome_trace("trace", path, trees.iter().copied(), "runs");
     }
     if let Some(base) = &jsonl_out {
         for (idx, (_, tree)) in trees.iter().enumerate() {
             let path = indexed_path(base, idx, trees.len());
-            if let Err(e) = std::fs::write(&path, tree.to_jsonl()) {
-                eprintln!("trace: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            shell::write_or_exit("trace", &path, tree.to_jsonl());
             println!("wrote JSONL trace to {path}");
         }
     }
-    ExitCode::SUCCESS
 }

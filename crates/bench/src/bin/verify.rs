@@ -24,11 +24,11 @@
 
 use hlsb::error::FlowError;
 use hlsb::{Flow, FlowSession, OptimizationOptions};
-use hlsb_bench::{device_by_name, resolve_benchmarks};
+use hlsb_bench::shell::{self, device_by_name, print_findings, resolve_benchmarks, Format};
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
 use hlsb_fabric::Device;
 use hlsb_findings::cli::{self, Arg, Cli, CliError};
-use hlsb_findings::{render_sarif, Report, Severity};
+use hlsb_findings::{Report, Severity};
 use std::process::ExitCode;
 
 struct Args {
@@ -40,13 +40,6 @@ struct Args {
     fuzz: usize,
     with_lint: bool,
     list: bool,
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Format {
-    Table,
-    Jsonl,
-    Sarif,
 }
 
 const USAGE: &str = "usage: verify [--design <name>|all] [--target vu9p|zc706|u50|virtex7]\n\
@@ -68,18 +61,9 @@ fn parse_args(cli: &mut Cli) -> Result<Args, CliError> {
         match arg {
             Arg::Flag("--design") => args.benches = resolve_benchmarks(&cli.value()?)?,
             Arg::Flag("--target") => args.target = Some(cli.parse_with(device_by_name)?),
-            Arg::Flag("--clock") => {
-                let mhz: f64 = cli.parse()?;
-                cli.ensure(mhz.is_finite() && mhz > 0.0)?;
-                args.clock_mhz = Some(mhz);
-            }
+            Arg::Flag("--clock") => args.clock_mhz = Some(shell::read_mhz(cli)?),
             Arg::Flag("--format") => {
-                args.format = cli.parse_with(|f| match f {
-                    "table" => Some(Format::Table),
-                    "jsonl" => Some(Format::Jsonl),
-                    "sarif" => Some(Format::Sarif),
-                    _ => None,
-                })?;
+                args.format = Format::read(cli, &[Format::Table, Format::Jsonl, Format::Sarif])?;
             }
             Arg::Flag("--deny") => args.deny = cli.parse_with(Severity::parse)?,
             Arg::Flag("--fuzz") => args.fuzz = cli.parse()?,
@@ -131,15 +115,8 @@ fn verify_benchmark(
 fn main() -> ExitCode {
     let args = cli::parse_env("verify", USAGE, parse_args);
     if args.list {
-        for b in all_benchmarks() {
-            println!(
-                "{:<16} {:<22} {}",
-                b.design.name, b.broadcast_type, b.device.name
-            );
-        }
-        return ExitCode::SUCCESS;
+        return shell::print_list();
     }
-
     let session = FlowSession::new();
     let (mut reports, lints): (Vec<Report>, Vec<Option<Report>>) = args
         .benches
@@ -150,28 +127,7 @@ fn main() -> ExitCode {
         let d = hlsb_sim::random_design(seed);
         reports.push(hlsb_verify::verify_network(&d, "fuzz", 300.0));
     }
+    // Verify and lint reports group into separate SARIF runs by tool.
     reports.extend(lints.into_iter().flatten());
-
-    match args.format {
-        Format::Table => {
-            for r in &reports {
-                print!("{}", r.to_table());
-                println!();
-            }
-        }
-        Format::Jsonl => {
-            for r in &reports {
-                print!("{}", r.to_jsonl());
-            }
-        }
-        // One SARIF document; verify and lint reports group into
-        // separate runs keyed by tool.
-        Format::Sarif => println!("{}", render_sarif(&reports)),
-    }
-
-    if reports.iter().any(|r| r.count_at_least(args.deny) > 0) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    print_findings(args.format, &reports, args.deny)
 }

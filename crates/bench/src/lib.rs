@@ -21,48 +21,12 @@
 //! framework is used.
 
 use hlsb::{Flow, ImplementationResult, OptimizationOptions, PassTrace, PlaceEffort};
-use hlsb_benchmarks::{all_benchmarks, find_benchmark, Benchmark};
-use hlsb_fabric::Device;
-use hlsb_findings::cli::CliError;
+use hlsb_benchmarks::Benchmark;
+
+pub mod shell;
 
 /// Shared deterministic seed for every experiment.
 pub const SEED: u64 = 0xDAC2_2020;
-
-/// Reads a `--target` device name: `vu9p`, `zc706`, `u50` or `virtex7`.
-pub fn device_by_name(name: &str) -> Option<Device> {
-    match name {
-        "vu9p" => Some(Device::ultrascale_plus_vu9p()),
-        "zc706" => Some(Device::zynq_zc706()),
-        "u50" => Some(Device::alveo_u50()),
-        "virtex7" => Some(Device::virtex7()),
-        _ => None,
-    }
-}
-
-/// Resolves a benchmark name through [`find_benchmark`]. An unknown
-/// name is a usage error that lists the nine Table-1 names.
-pub fn resolve_benchmark(name: &str) -> Result<Benchmark, CliError> {
-    find_benchmark(name).ok_or_else(|| {
-        let names: Vec<String> = all_benchmarks()
-            .into_iter()
-            .map(|b| b.design.name)
-            .collect();
-        CliError::usage(format!(
-            "no benchmark matching `{name}` (one of: {})",
-            names.join(", ")
-        ))
-    })
-}
-
-/// Like [`resolve_benchmark`], with `all` selecting the nine Table-1
-/// benchmarks.
-pub fn resolve_benchmarks(name: &str) -> Result<Vec<Benchmark>, CliError> {
-    if name == "all" {
-        Ok(all_benchmarks())
-    } else {
-        resolve_benchmark(name).map(|b| vec![b])
-    }
-}
 
 /// The flow for one benchmark at its paper settings, ready to run (or to
 /// hand to [`hlsb::FlowSession::run_many`] alongside its variants).
@@ -180,42 +144,4 @@ pub fn table1_row(
         opt.fmax_mhz,
         opt.gain_over(orig)
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn targets_name_the_four_devices() {
-        for name in ["vu9p", "zc706", "u50", "virtex7"] {
-            assert!(device_by_name(name).is_some(), "{name}");
-        }
-        assert!(device_by_name("VU9P").is_none());
-    }
-
-    #[test]
-    fn benchmark_names_resolve_by_design_or_display_name() {
-        let by_design = resolve_benchmark("vector_product").unwrap();
-        let by_display = resolve_benchmark("Vector Arithmetic").unwrap();
-        assert_eq!(by_design.name, by_display.name);
-        assert_eq!(resolve_benchmarks("vector_product").unwrap().len(), 1);
-        assert_eq!(resolve_benchmarks("all").unwrap().len(), 9);
-    }
-
-    #[test]
-    fn an_unknown_benchmark_is_a_usage_error_listing_the_nine() {
-        for (name, result) in [
-            ("nosuch", resolve_benchmarks("nosuch").map(|_| ())),
-            ("all", resolve_benchmark("all").map(|_| ())),
-        ] {
-            let Err(CliError::Usage(message)) = result else {
-                panic!("`{name}` resolved");
-            };
-            assert!(message.starts_with(&format!("no benchmark matching `{name}`")));
-            for b in all_benchmarks() {
-                assert!(message.contains(&b.design.name), "{message}");
-            }
-        }
-    }
 }

@@ -21,7 +21,7 @@ pub(crate) fn assemble(
     lower_info: LowerInfo,
     imp: ImplementOutput,
     partition: Option<PartitionSummary>,
-    lint: Option<hlsb_lint::LintReport>,
+    lint: Option<hlsb_findings::Report>,
     verify: Option<hlsb_findings::Report>,
 ) -> (ImplementationResult, Netlist, Placement) {
     let ImplementOutput {

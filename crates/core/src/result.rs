@@ -90,7 +90,7 @@ pub struct ImplementationResult {
     pub partition: Option<PartitionSummary>,
     /// Static broadcast lint report, when [`Flow::lint`](crate::Flow::lint)
     /// was enabled.
-    pub lint: Option<hlsb_lint::LintReport>,
+    pub lint: Option<hlsb_findings::Report>,
     /// Static verify report (network + schedule contracts), when
     /// [`Flow::verify`](crate::Flow::verify) was enabled. Always free of
     /// `Error`-severity findings here — those abort the run with

@@ -148,7 +148,7 @@ pub struct ProbeOutcome {
     pub instructions: usize,
     /// Static broadcast lint report, when the flow enables
     /// [`Flow::lint`].
-    pub lint: Option<hlsb_lint::LintReport>,
+    pub lint: Option<hlsb_findings::Report>,
     /// Static verify report (network + schedule contracts; no lowering
     /// contracts — probes never lower), when the flow enables
     /// [`Flow::verify`]. Error findings abort the probe instead.
@@ -262,7 +262,7 @@ pub struct FlowSession {
 type StagedArtifacts = (
     Arc<FrontEndArtifact>,
     Arc<ScheduleArtifact>,
-    Option<hlsb_lint::LintReport>,
+    Option<hlsb_findings::Report>,
 );
 
 impl Default for FlowSession {

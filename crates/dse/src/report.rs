@@ -41,25 +41,22 @@ pub fn frontier_table(report: &DseReport) -> String {
 }
 
 /// The frontier as JSON lines, one flat object per configuration: the
-/// config key, design, label, the knobs, the measured objectives, then
-/// `"pareto":true`, the store provenance and the simulation verdict.
+/// config key, design, label, the knobs (the option set as its `BSKM`
+/// mask), the measured objectives, then `"pareto":true`, the store
+/// provenance and the simulation verdict.
 pub fn frontier_jsonl(report: &DseReport, design: &str) -> String {
     let mut out = String::new();
     for p in report.frontier_points() {
-        let (c, o, m) = (&p.config, &p.config.options, &p.metrics);
+        let (c, m) = (&p.config, &p.metrics);
         out.push_str(&format!(
-            "{{\"key\":{},\"design\":\"{}\",\"label\":\"{}\",\
-             \"broadcast_aware\":{},\"sync_pruning\":{},\"skid_buffer\":{},\"min_area_skid\":{},\
+            "{{\"key\":{},\"design\":\"{}\",\"label\":\"{}\",\"options\":\"{}\",\
              \"clock_mhz\":{:?},\"place_seeds\":{},\"effort\":\"{}\",\"partitions\":\"{}\",\
              \"fmax_mhz\":{:?},\"latency_cycles\":{},\"area_cells\":{},\
              \"pareto\":true,\"from_store\":{},\"sim\":\"{}\"}}\n",
             p.key,
             json_escape(design),
             json_escape(&c.label()),
-            o.broadcast_aware,
-            o.sync_pruning,
-            o.skid_buffer,
-            o.min_area_skid,
+            c.options,
             c.clock_mhz,
             c.place_seeds,
             c.effort.label(),

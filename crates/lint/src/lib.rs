@@ -14,30 +14,27 @@
 //! | `PC01` | stall-broadcast | §3.3/§4.3 | global stall/enable nets gating whole pipelines |
 //! | `SY01` | sync-fanin | §3.2/§4.2 | done-AND-reduce trees and fused dataflow loops pruning would shrink |
 //!
-//! Each [`Diagnostic`] carries the IR location (kernel/loop/pragma), the
-//! broadcast factor, a delay penalty estimated from the calibrated delay
-//! tables, and a remedy phrased in terms of
-//! `hlsb::OptimizationOptions`. Reports render as a human-readable
-//! table, JSON Lines, or SARIF 2.1.0 (`to_table` / `to_jsonl` /
-//! `to_sarif` on [`LintReport`]). The report types and renderers live in
-//! the shared [`hlsb_findings`] crate, so lint and `hlsb-verify`
-//! findings merge into one SARIF log with distinct rule IDs.
+//! Each [`hlsb_findings::Diagnostic`] carries the IR location
+//! (kernel/loop/pragma), the broadcast factor, a delay penalty estimated
+//! from the calibrated delay tables, and a remedy phrased in terms of
+//! `hlsb::OptimizationOptions`. The lint returns the shared
+//! [`hlsb_findings::Report`] with `tool` set to `"hlsb-lint"`; it renders
+//! as a human-readable table, JSON Lines, or SARIF 2.1.0 through
+//! [`hlsb_findings`], so lint and `hlsb-verify` findings merge into one
+//! SARIF log with distinct rule IDs.
 //!
 //! Run the lint through a flow: `hlsb::Flow::lint(true)` attaches the
 //! report to `hlsb::FlowSession::probe`'s outcome or to a full run's
 //! result (see `Flow::lint` for an example).
 
 pub mod context;
-pub mod diag;
-pub mod render;
 pub mod rules;
 
 pub use context::LintContext;
-pub use diag::{Diagnostic, LintReport, Location, Severity};
-pub use render::{render_jsonl, render_sarif, render_table};
 pub use rules::{all_rules, rule_metas};
 
 use hlsb_fabric::Device;
+use hlsb_findings::Report;
 use hlsb_ir::Design;
 use hlsb_rtlgen::ScheduledLoop;
 
@@ -56,13 +53,13 @@ pub fn lint_schedule(
     clock_mhz: f64,
     seed: u64,
     schedule: &[Vec<ScheduledLoop>],
-) -> LintReport {
+) -> Report {
     let ctx = LintContext::with_schedule(design, device, clock_mhz, seed, schedule);
     let mut diagnostics = Vec::new();
     for rule in all_rules() {
         rule.check(&ctx, &mut diagnostics);
     }
-    let mut report = LintReport {
+    let mut report = Report {
         tool: "hlsb-lint",
         design: design.name.clone(),
         device: device.name.clone(),
@@ -144,7 +141,7 @@ impl CrossCheck {
 /// The data rules BA01/BA02 are treated as one class when matching:
 /// both predict the same physical symptom (a scattered high-fanout data
 /// net), and the post-route evidence does not distinguish the cause.
-pub fn cross_check_classes(report: &LintReport, observed_classes: &[&str]) -> CrossCheck {
+pub fn cross_check_classes(report: &Report, observed_classes: &[&str]) -> CrossCheck {
     let data = |r: &str| r == "BA01" || r == "BA02";
     let fired: Vec<&str> = ["BA01", "BA02", "PC01", "SY01"]
         .into_iter()
@@ -182,6 +179,7 @@ pub fn cross_check_classes(report: &LintReport, observed_classes: &[&str]) -> Cr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlsb_findings::{Diagnostic, Location, Severity};
 
     #[test]
     fn critical_cell_classes() {
@@ -199,7 +197,7 @@ mod tests {
 
     #[test]
     fn cross_check_counts() {
-        let report = LintReport {
+        let report = Report {
             tool: "hlsb-lint",
             design: "d".into(),
             device: "v".into(),

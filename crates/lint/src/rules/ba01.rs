@@ -9,9 +9,9 @@
 //! wire excess past the delay budget.
 
 use crate::context::LintContext;
-use crate::diag::{Diagnostic, Location, Severity};
 use crate::rules::Rule;
 use hlsb_delay::{classify, OpClass};
+use hlsb_findings::{Diagnostic, Location, Severity};
 use hlsb_ir::{Dfg, InstId, Loop};
 use hlsb_rtlgen::ScheduledLoop;
 use hlsb_sched::ScheduleReport;

@@ -8,9 +8,9 @@
 //! region of the target device.
 
 use crate::context::LintContext;
-use crate::diag::{Diagnostic, Location, Severity};
 use crate::rules::Rule;
 use hlsb_delay::OpClass;
+use hlsb_findings::{Diagnostic, Location, Severity};
 use hlsb_ir::{ArrayId, OpKind};
 
 /// Detects array accesses whose BRAM footprint exceeds one clock region.

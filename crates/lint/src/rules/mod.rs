@@ -2,7 +2,7 @@
 //! [`Rule`] implementation over the shared [`LintContext`].
 
 use crate::context::LintContext;
-use crate::diag::Diagnostic;
+use hlsb_findings::Diagnostic;
 use hlsb_findings::RuleMeta;
 
 pub mod ba01;
@@ -58,7 +58,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 }
 
 /// Metadata of all rules, in id order — the registry a
-/// [`LintReport`](crate::diag::LintReport) carries for SARIF rendering.
+/// [`Report`](hlsb_findings::Report) carries for SARIF rendering.
 pub fn rule_metas() -> Vec<RuleMeta> {
     all_rules().iter().map(|r| r.meta()).collect()
 }

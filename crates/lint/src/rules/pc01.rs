@@ -10,8 +10,8 @@
 //! fabric.
 
 use crate::context::LintContext;
-use crate::diag::{Diagnostic, Location, Severity};
 use crate::rules::Rule;
+use hlsb_findings::{Diagnostic, Location, Severity};
 use hlsb_ir::{ArrayId, Design, Loop, OpKind};
 use hlsb_rtlgen::{stage_widths, ScheduledLoop};
 

@@ -14,8 +14,8 @@
 //! This rule reports both instead of transforming.
 
 use crate::context::LintContext;
-use crate::diag::{Diagnostic, Location, Severity};
 use crate::rules::Rule;
+use hlsb_findings::{Diagnostic, Location, Severity};
 use hlsb_ir::Concurrency;
 use hlsb_rtlgen::REDUCE_FANIN;
 use hlsb_sync::{prune_sync, split_loop_flows, ModuleSync};

@@ -156,6 +156,30 @@ fn wrong_configurations_are_refused_before_any_flow_runs() {
 }
 
 #[test]
+fn benchmarks_and_formats_are_read_the_same_way_everywhere() {
+    // `--design` resolves through the one benchmark resolver, whose miss
+    // is a usage error that names the benchmark.
+    for bin in ["dse", "explore", "lint", "verify", "simcheck"] {
+        assert_usage_error(bin, &["--design", "nosuch"], "`nosuch`");
+    }
+    // A format a binary cannot render is refused like an unknown one.
+    assert_usage_error("dse", &["--format", "sarif"], "bad --format value `sarif`");
+    assert_usage_error(
+        "explore",
+        &["--format", "sarif"],
+        "bad --format value `sarif`",
+    );
+    assert_usage_error(
+        "simcheck",
+        &["--format", "sarif"],
+        "bad --format value `sarif`",
+    );
+    assert_usage_error("lint", &["--format", "yaml"], "bad --format value `yaml`");
+    // simcheck's JSON lines are `--format jsonl`.
+    assert_usage_error("simcheck", &["--json"], "unknown flag `--json`");
+}
+
+#[test]
 fn write_baseline_dash_writes_stdout_not_a_file() {
     let dir = std::env::temp_dir().join(format!("hlsb_cli_baseline_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

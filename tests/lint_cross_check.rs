@@ -17,8 +17,9 @@ use hlsb_benchmarks::{
     stream_buffer, vector_arith,
 };
 use hlsb_fabric::Device;
+use hlsb_findings::Report as LintReport;
 use hlsb_ir::Design;
-use hlsb_lint::{classify_critical_cell, cross_check_classes, CrossCheck, LintReport};
+use hlsb_lint::{classify_critical_cell, cross_check_classes, CrossCheck};
 
 /// The lint pre-pass of a probe at the benchmark's paper device and clock.
 fn lint_benchmark(session: &FlowSession, b: &hlsb_benchmarks::Benchmark) -> LintReport {

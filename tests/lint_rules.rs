@@ -4,11 +4,11 @@
 
 use hlsb::{Flow, FlowSession};
 use hlsb_fabric::Device;
+use hlsb_findings::{Diagnostic, Severity};
 use hlsb_ir::builder::DesignBuilder;
 use hlsb_ir::pragma::Partition;
 use hlsb_ir::types::DataType;
 use hlsb_ir::Design;
-use hlsb_lint::{Diagnostic, Severity};
 
 /// The `rule` diagnostics of `design`'s lint report.
 fn run(design: &Design, rule: &str) -> Vec<Diagnostic> {
